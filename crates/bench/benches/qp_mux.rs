@@ -14,7 +14,11 @@
 //!   QP-per-stream baseline's per-stream cost;
 //! * mux delivery must be digest-identical to the QP-per-stream path
 //!   at the scale where both run, and to the expected payload pattern
-//!   at every scale.
+//!   at every scale;
+//! * at 1k and 10k streams, control messages (adverts, ACKs and
+//!   CREDITs, both sides) per delivered message must stay ≤ 4 — the
+//!   bound that catches a control plane queueing one message per event
+//!   instead of coalescing.
 //!
 //! Snapshots land in `bench-results/qp_mux_{1k,10k,100k}.json`. Quick
 //! mode (`EXS_BENCH_QUICK=1`) runs 1k and 10k; the full run adds 100k,
@@ -24,7 +28,7 @@
 use std::path::Path;
 
 use blast::fan_in::expected_digest;
-use blast::{run_fan_in, FanInSpec, VerifyLevel};
+use blast::{run_fan_in, FanInReport, FanInSpec, VerifyLevel};
 use exs_bench::quick;
 use rdma_verbs::profiles;
 
@@ -42,6 +46,15 @@ fn spec_for(streams: usize, mux: bool) -> FanInSpec {
     }
 }
 
+/// Control messages both sides put on the wire per delivered message.
+fn ctrl_per_msg(report: &FanInReport, spec: &FanInSpec) -> f64 {
+    let ctrl: u64 = [&report.aggregate, &report.aggregate_tx]
+        .iter()
+        .map(|s| s.adverts_sent + s.acks_sent + s.credits_sent)
+        .sum();
+    ctrl as f64 / (spec.conns * spec.msgs_per_conn) as f64
+}
+
 fn main() {
     let counts: &[(usize, &str)] = if quick() {
         &[(1_000, "1k"), (10_000, "10k")]
@@ -54,8 +67,8 @@ fn main() {
     println!();
     println!("=== qp_mux: N streams over a pooled QP set vs QP-per-stream (FDR IB) ===");
     println!(
-        "{:>8} {:>12} {:>14} {:>12} {:>14} {:>14} {:>7}",
-        "streams", "mode", "Mbit/s", "setup ms", "B/stream", "baseline B/s", "ratio"
+        "{:>8} {:>12} {:>14} {:>12} {:>14} {:>14} {:>7} {:>9}",
+        "streams", "mode", "Mbit/s", "setup ms", "B/stream", "baseline B/s", "ratio", "ctrl/msg"
     );
 
     // Measured QP-per-stream baseline, at the scale where 1k private
@@ -63,14 +76,15 @@ fn main() {
     let baseline_spec = spec_for(1_000, false);
     let baseline = run_fan_in(&baseline_spec);
     println!(
-        "{:>8} {:>12} {:>14.1} {:>12.1} {:>14} {:>14} {:>7}",
+        "{:>8} {:>12} {:>14.1} {:>12.1} {:>14} {:>14} {:>7} {:>9.2}",
         1_000,
         "qp-per-conn",
         baseline.throughput_mbps(),
         baseline.setup_wall.as_secs_f64() * 1e3,
         "-",
         "-",
-        "-"
+        "-",
+        ctrl_per_msg(&baseline, &baseline_spec),
     );
 
     for &(streams, tag) in counts {
@@ -80,8 +94,9 @@ fn main() {
         let baseline_per_stream =
             report.mux_baseline.expect("mux run models baseline") / streams as u64;
         let ratio = baseline_per_stream as f64 / per_stream.max(1) as f64;
+        let ctrl = ctrl_per_msg(&report, &spec);
         println!(
-            "{:>8} {:>12} {:>14.1} {:>12.1} {:>14} {:>14} {:>6.1}x",
+            "{:>8} {:>12} {:>14.1} {:>12.1} {:>14} {:>14} {:>6.1}x {:>9.2}",
             streams,
             "mux-pool",
             report.throughput_mbps(),
@@ -89,6 +104,7 @@ fn main() {
             per_stream,
             baseline_per_stream,
             ratio,
+            ctrl,
         );
         match report.write_snapshot(&out_dir, &format!("qp_mux_{tag}")) {
             Ok(path) => println!("        snapshot: {}", path.display()),
@@ -105,6 +121,13 @@ fn main() {
         }
         if streams == 1_000 && report.digests != baseline.digests {
             eprintln!("VIOLATION: mux delivery diverges from the QP-per-stream path at 1k");
+            violations += 1;
+        }
+        if streams <= 10_000 && ctrl > 4.0 {
+            eprintln!(
+                "VIOLATION: {ctrl:.2} control messages per delivered message at {streams} \
+                 streams (bound 4)"
+            );
             violations += 1;
         }
         if streams == 10_000 && per_stream * 8 > baseline_per_stream {

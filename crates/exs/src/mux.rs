@@ -64,6 +64,18 @@
 //!
 //! The sender pumps streams round-robin, one chunk per stream per
 //! round, so fairness under contention is structural.
+//!
+//! # Control-plane coalescing
+//!
+//! Control messages are not queued as messages. Each transport keeps
+//! *markers* — per-stream bits for "advert owed", "window ACK owed" and
+//! "FIN owed", a FIFO of the streams (and the ring ACK) owing any, and
+//! a transport flag for the standalone CREDIT — and the transport's
+//! flush materialises each message from current state when it stages
+//! it. A transport therefore owes at most one advert, one ACK and one
+//! FIN per stream, one ring ACK and one CREDIT; later window or ring
+//! returns fold into the owed ACK, and an advert voided before it
+//! reached the wire is withdrawn instead of sent.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -191,6 +203,14 @@ struct SendTrack {
     dispatched_all: bool,
 }
 
+/// Owed stream-scoped control messages, in the order a flush sends
+/// them. The advert precedes the window ACK: an ACK that reopened a
+/// blocked sender first would let it dispatch indirect bytes and so
+/// make the advert behind it stale.
+const CTRL_ADVERT: u8 = 1;
+const CTRL_ACK: u8 = 2;
+const CTRL_FIN: u8 = 4;
+
 /// All per-stream state. This struct (plus its empty queues) is the
 /// entire marginal cost of one more stream on a shared transport — no
 /// ring, no WQE slots, no pinned control region.
@@ -211,8 +231,14 @@ struct MuxStream {
     owed_window: u64,
     /// Direct-placement permission from an accepted advert.
     grant: Option<MuxGrant>,
-    /// One advert is outstanding for the head receive.
+    /// One advert is outstanding for the head receive (on the wire or
+    /// still owed as a [`CTRL_ADVERT`] marker).
     advert_live: bool,
+    /// Owed control messages ([`CTRL_ADVERT`] / [`CTRL_ACK`] /
+    /// [`CTRL_FIN`] bits), materialised at flush time.
+    ctrl_owed: u8,
+    /// This stream sits in its transport's control FIFO.
+    in_ctrl_queue: bool,
     /// This stream sits in its transport's round-robin send queue.
     in_send_queue: bool,
     /// Dispatched sends whose completion has not yet been reported.
@@ -236,6 +262,8 @@ impl MuxStream {
             owed_window: 0,
             grant: None,
             advert_live: false,
+            ctrl_owed: 0,
+            in_ctrl_queue: false,
             in_send_queue: false,
             live_sends: 0,
             send_closed: false,
@@ -243,6 +271,18 @@ impl MuxStream {
             peer_fin: None,
             eof_delivered: false,
         }
+    }
+
+    /// Both directions are done and nothing is owed to the wire: the
+    /// stream's state can be reclaimed.
+    fn retirable(&self) -> bool {
+        self.eof_delivered
+            && self.fin_queued
+            && self.sends.is_empty()
+            && self.live_sends == 0
+            && self.chunk_ids.is_empty()
+            && !self.in_send_queue
+            && !self.in_ctrl_queue
     }
 }
 
@@ -267,7 +307,18 @@ struct MuxTransport {
     owed_ring: u64,
     peer_credits: u32,
     owed_credits: u32,
-    pending_ctrl: VecDeque<(u32, Ctrl)>,
+    /// Streams owing control messages, each at most once, in the order
+    /// they first came to owe one; [`STREAM_NONE`] stands for the ring
+    /// ACK.
+    ctrl_streams: VecDeque<u32>,
+    /// A transport-scoped ACK for `owed_ring` is owed (and
+    /// [`STREAM_NONE`] sits in `ctrl_streams`).
+    ring_ack_due: bool,
+    /// A standalone CREDIT for `owed_credits` is owed.
+    credit_due: bool,
+    /// Control messages owed right now: the set stream bits plus the two
+    /// transport flags.
+    ctrl_queued: usize,
     tx: TxPipe,
     next_wr: u64,
     /// Data WQEs awaiting retirement in posting order; one signaled CQE
@@ -277,6 +328,82 @@ struct MuxTransport {
     /// Streams with dispatchable sends, pumped round-robin.
     sendable: VecDeque<u32>,
     broken: bool,
+}
+
+impl MuxTransport {
+    /// Counts one more owed control message.
+    fn count_owed(&mut self, stats: &mut ConnStats) {
+        self.ctrl_queued += 1;
+        stats.ctrl_queue_peak = stats.ctrl_queue_peak.max(self.ctrl_queued as u64);
+    }
+
+    /// Marks a stream-scoped control message (`bit`) owed, queueing the
+    /// stream for the next flush unless it already waits there. A
+    /// message already owed absorbs the new one.
+    fn owe(&mut self, stats: &mut ConnStats, stream: u32, s: &mut MuxStream, bit: u8) {
+        if s.ctrl_owed & bit != 0 {
+            return;
+        }
+        s.ctrl_owed |= bit;
+        if !s.in_ctrl_queue {
+            s.in_ctrl_queue = true;
+            self.ctrl_streams.push_back(stream);
+        }
+        self.count_owed(stats);
+    }
+
+    /// Voids the stream's advert. One that has not reached the wire is
+    /// withdrawn: the sender would discard it under the exact-seq rule.
+    fn void_advert(&mut self, stats: &mut ConnStats, s: &mut MuxStream) {
+        s.advert_live = false;
+        if s.ctrl_owed & CTRL_ADVERT != 0 {
+            s.ctrl_owed &= !CTRL_ADVERT;
+            self.ctrl_queued -= 1;
+            stats.adverts_withdrawn += 1;
+        }
+    }
+
+    /// True when a control message costing `needed` credits may be
+    /// staged now.
+    fn ctrl_room(&self, api: &mut impl VerbsPort, cfg: &ExsConfig, needed: u32) -> bool {
+        self.peer_credits >= needed
+            && api.sq_outstanding(self.qpn) + self.tx.staged() < cfg.sq_depth
+    }
+
+    /// Stages one control SEND. Every owed credit rides along, which
+    /// also settles an owed standalone CREDIT.
+    fn stage_ctrl(
+        &mut self,
+        api: &mut impl VerbsPort,
+        cfg: &ExsConfig,
+        stats: &mut ConnStats,
+        stream: u32,
+        ctrl: Ctrl,
+    ) {
+        let msg = MuxCtrlMsg {
+            stream,
+            msg: CtrlMsg {
+                ctrl,
+                credit_return: self.owed_credits,
+            },
+        };
+        self.owed_credits = 0;
+        if self.credit_due {
+            self.credit_due = false;
+            self.ctrl_queued -= 1;
+        }
+        let wr_id = self.next_wr;
+        self.next_wr += 1;
+        let occupancy = api.sq_outstanding(self.qpn) + self.tx.staged();
+        self.tx.stage(
+            occupancy,
+            cfg,
+            SendWr::send_inline(wr_id, msg.encode_bytes()),
+            false,
+            stats,
+        );
+        self.peer_credits -= 1;
+    }
 }
 
 /// A multiplexing endpoint: all EXS streams from this node to one peer
@@ -298,6 +425,8 @@ pub struct MuxEndpoint {
     events: Vec<MuxEvent>,
     stats: ConnStats,
     last_error: Option<ExsError>,
+    /// Completions drained by one wake (reused across wakes).
+    cqe_buf: Vec<Cqe>,
 }
 
 impl MuxEndpoint {
@@ -321,6 +450,7 @@ impl MuxEndpoint {
             events: Vec::new(),
             stats: ConnStats::default(),
             last_error: None,
+            cqe_buf: Vec::new(),
         }
     }
 
@@ -478,7 +608,10 @@ impl MuxEndpoint {
             owed_ring: 0,
             peer_credits: 0,
             owed_credits: 0,
-            pending_ctrl: VecDeque::new(),
+            ctrl_streams: VecDeque::new(),
+            ring_ack_due: false,
+            credit_due: false,
+            ctrl_queued: 0,
             tx: TxPipe::new(),
             next_wr: 1,
             wwi_owner: VecDeque::new(),
@@ -658,25 +791,12 @@ impl MuxEndpoint {
             return;
         }
         s.fin_queued = true;
-        t.pending_ctrl.push_back((
-            stream,
-            Ctrl::Fin {
-                final_seq: s.send_seq,
-            },
-        ));
+        t.owe(&mut self.stats, stream, s, CTRL_FIN);
     }
 
     /// Reclaims a stream whose both directions are fully done.
     fn maybe_retire(&mut self, stream: u32) {
-        let done = self.streams.get(&stream).is_some_and(|s| {
-            s.eof_delivered
-                && s.fin_queued
-                && s.sends.is_empty()
-                && s.live_sends == 0
-                && s.chunk_ids.is_empty()
-                && !s.in_send_queue
-        });
-        if done {
+        if self.streams.get(&stream).is_some_and(MuxStream::retirable) {
             self.streams.remove(&stream);
             self.closed.insert(stream);
         }
@@ -686,19 +806,20 @@ impl MuxEndpoint {
     /// pair, advances every transport, and queues user events.
     pub fn handle_wake(&mut self, api: &mut impl VerbsPort) {
         if let Some((send_cq, recv_cq)) = self.cqs {
-            let mut cqes: Vec<Cqe> = Vec::new();
+            let mut cqes = std::mem::take(&mut self.cqe_buf);
             api.poll_cq(recv_cq, usize::MAX, &mut cqes)
                 .expect("poll recv cq");
             let recv_count = cqes.len();
             api.poll_cq(send_cq, usize::MAX, &mut cqes)
                 .expect("poll send cq");
-            for (i, cqe) in cqes.into_iter().enumerate() {
+            for (i, cqe) in cqes.drain(..).enumerate() {
                 if i < recv_count {
                     self.on_recv_cqe(api, cqe);
                 } else {
                     self.on_send_cqe(api, cqe);
                 }
             }
+            self.cqe_buf = cqes;
         }
         self.progress(api);
     }
@@ -716,7 +837,6 @@ impl MuxEndpoint {
                 continue;
             }
             self.pump_transport(api, slot);
-            self.flush_ctrl(slot, api);
             self.maybe_send_credit(slot);
             self.flush_ctrl(slot, api);
             self.flush_tx(api, slot);
@@ -866,7 +986,9 @@ impl MuxEndpoint {
             self.stats.mux_demux_errors += 1;
             return Err(ProtocolError::UnknownStream(stream).into());
         };
-        if !s.advert_live {
+        if !s.advert_live || s.ctrl_owed & CTRL_ADVERT != 0 {
+            // No advert, or one still owed here: the peer cannot have
+            // been granted this buffer.
             return Err(ProtocolError::DirectWithoutAdvert.into());
         }
         let head = s
@@ -886,7 +1008,7 @@ impl MuxEndpoint {
         let done = !head.waitall || head.filled == head.len;
         if done {
             let op = s.recvs.pop_front().expect("front checked");
-            s.advert_live = false;
+            s.advert_live = false; // consumed on the wire, nothing owed
             self.stats.recvs_completed += 1;
             self.stats.bytes_received += op.filled as u64;
             self.events.push(MuxEvent::RecvComplete {
@@ -946,8 +1068,9 @@ impl MuxEndpoint {
         s.chunk_ids.push_back(chunk_id);
         // Indirect data voids any live advert: the sender provably
         // discarded (or will discard) it, since its send_seq moved past
-        // the advert's seq before the advert could be granted.
-        s.advert_live = false;
+        // the advert's seq before the advert could be granted. One
+        // still owed here is withdrawn rather than sent stale.
+        t.void_advert(&mut self.stats, s);
         self.service_recv(api, slot, stream);
         Ok(())
     }
@@ -1167,6 +1290,7 @@ impl MuxEndpoint {
             if !s.eof_delivered && s.buffered == 0 && s.recv_seq == fin {
                 s.eof_delivered = true;
                 closed_now = true;
+                t.void_advert(&mut self.stats, s);
                 while let Some(op) = s.recvs.pop_front() {
                     self.stats.recvs_completed += 1;
                     self.stats.bytes_received += op.filled as u64;
@@ -1179,34 +1303,21 @@ impl MuxEndpoint {
             }
         }
         // Advert gate: a queued receive, nothing buffered, no advert
-        // outstanding, peer still sending, transport usable.
+        // outstanding, peer still sending, transport usable. The advert
+        // itself is built from the head receive when it is flushed.
         if !s.recvs.is_empty()
             && s.buffered == 0
             && !s.advert_live
             && s.peer_fin.is_none()
             && t.connected
         {
-            let op = s.recvs.front().expect("non-empty");
             s.advert_live = true;
-            self.stats.adverts_sent += 1;
-            t.pending_ctrl.push_back((
-                stream,
-                Ctrl::Advert(Advert {
-                    seq: Seq(s.recv_seq),
-                    phase: Phase(0),
-                    addr: op.addr + op.filled as u64,
-                    len: op.len - op.filled,
-                    rkey: op.key,
-                    waitall: op.waitall,
-                }),
-            ));
+            t.owe(&mut self.stats, stream, s, CTRL_ADVERT);
         }
-        // Window return: at half-window, or when the stream drains.
+        // Window return: at half-window, or when the stream drains. The
+        // ACK returns whatever `owed_window` holds when it is flushed.
         if s.owed_window > 0 && (s.owed_window * 2 >= window || s.buffered == 0) {
-            let freed = s.owed_window;
-            s.owed_window = 0;
-            self.stats.acks_sent += 1;
-            t.pending_ctrl.push_back((stream, Ctrl::Ack { freed }));
+            t.owe(&mut self.stats, stream, s, CTRL_ACK);
         }
         self.free_ring_prefix(slot);
         if closed_now {
@@ -1218,8 +1329,8 @@ impl MuxEndpoint {
     }
 
     /// Pops the fully-copied prefix of the chunk FIFO, releasing its
-    /// ring bytes and queueing a transport-scoped ACK when enough have
-    /// accumulated (or the ring went quiet).
+    /// ring bytes and marking a transport-scoped ACK owed when enough
+    /// have accumulated (or the ring went quiet).
     fn free_ring_prefix(&mut self, slot: usize) {
         let Some(t) = self.transports[slot].as_mut() else {
             return;
@@ -1240,11 +1351,10 @@ impl MuxEndpoint {
             t.owed_ring += freed;
         }
         let threshold = self.cfg.effective_ack_threshold();
-        if t.owed_ring > 0 && (t.owed_ring >= threshold || t.chunks.is_empty()) {
-            let freed = t.owed_ring;
-            t.owed_ring = 0;
-            self.stats.acks_sent += 1;
-            t.pending_ctrl.push_back((STREAM_NONE, Ctrl::Ack { freed }));
+        if t.owed_ring > 0 && !t.ring_ack_due && (t.owed_ring >= threshold || t.chunks.is_empty()) {
+            t.ring_ack_due = true;
+            t.ctrl_streams.push_back(STREAM_NONE);
+            t.count_owed(&mut self.stats);
         }
     }
 
@@ -1381,90 +1491,114 @@ impl MuxEndpoint {
         }
     }
 
-    /// Moves eligible stream-tagged control messages onto the TX
-    /// queue; they share the next flush's doorbell with staged data.
+    /// Materialises owed control messages from current state, in FIFO
+    /// order, and stages them on the TX queue, where they share the next
+    /// flush's doorbell with staged data. Each costs a credit above the
+    /// reserve.
+    ///
+    /// A standalone CREDIT goes last and may spend the reserve credit:
+    /// the reserve exists so credit returns always flow. Being a flag
+    /// rather than a queue entry, it can never sit behind a message the
+    /// reserve cannot pay for — with both sides down to their reserve,
+    /// that ordering would be a distributed deadlock, each side waiting
+    /// for the other's return. Any message staged before it carries the
+    /// return already, which settles the flag instead.
     fn flush_ctrl(&mut self, slot: usize, api: &mut impl VerbsPort) {
-        let Some(t) = self.transports[slot].as_mut() else {
+        let MuxEndpoint {
+            cfg,
+            transports,
+            streams,
+            closed,
+            stats,
+            ..
+        } = self;
+        let Some(t) = transports[slot].as_mut() else {
             return;
         };
         if t.broken || !t.connected {
             return;
         }
-        loop {
-            let Some(&(_, front)) = t.pending_ctrl.front() else {
-                return;
-            };
-            let needed = match front {
-                Ctrl::Credit => CREDIT_RESERVE,
-                _ => CREDIT_RESERVE + 1,
-            };
-            let pick = if t.peer_credits >= needed {
-                0
-            } else if t.peer_credits >= CREDIT_RESERVE {
-                // Head-of-line rescue: the reserve credit exists so
-                // CREDIT returns always flow. A stream ctrl blocked at
-                // the head must not trap a CREDIT queued behind it —
-                // with both sides down to their reserve, that ordering
-                // is a distributed deadlock (each waits for the
-                // other's return stuck behind an unsendable FIN).
-                match t
-                    .pending_ctrl
-                    .iter()
-                    .position(|(_, c)| matches!(c, Ctrl::Credit))
-                {
-                    Some(pos) => pos,
-                    None => return,
+        'owed: {
+            while let Some(&stream) = t.ctrl_streams.front() {
+                if stream == STREAM_NONE {
+                    if !t.ctrl_room(api, cfg, CREDIT_RESERVE + 1) {
+                        break 'owed;
+                    }
+                    t.ctrl_streams.pop_front();
+                    t.ring_ack_due = false;
+                    t.ctrl_queued -= 1;
+                    let freed = std::mem::take(&mut t.owed_ring);
+                    stats.acks_sent += 1;
+                    t.stage_ctrl(api, cfg, stats, STREAM_NONE, Ctrl::Ack { freed });
+                    continue;
                 }
-            } else {
-                return;
-            };
-            if api.sq_outstanding(t.qpn) + t.tx.staged() >= self.cfg.sq_depth {
-                return;
+                let s = streams
+                    .get_mut(&stream)
+                    .expect("a queued stream retires only once flushed");
+                while s.ctrl_owed != 0 {
+                    if !t.ctrl_room(api, cfg, CREDIT_RESERVE + 1) {
+                        break 'owed;
+                    }
+                    let bit = s.ctrl_owed & s.ctrl_owed.wrapping_neg();
+                    s.ctrl_owed &= !bit;
+                    t.ctrl_queued -= 1;
+                    let ctrl = match bit {
+                        CTRL_ADVERT => {
+                            // Anything that moves the head receive while
+                            // the advert is owed voids it first.
+                            let op = s.recvs.front().expect("an owed advert has a head receive");
+                            stats.adverts_sent += 1;
+                            Ctrl::Advert(Advert {
+                                seq: Seq(s.recv_seq),
+                                phase: Phase(0),
+                                addr: op.addr + op.filled as u64,
+                                len: op.len - op.filled,
+                                rkey: op.key,
+                                waitall: op.waitall,
+                            })
+                        }
+                        CTRL_ACK => {
+                            stats.acks_sent += 1;
+                            Ctrl::Ack {
+                                freed: std::mem::take(&mut s.owed_window),
+                            }
+                        }
+                        _ => Ctrl::Fin {
+                            final_seq: s.send_seq,
+                        },
+                    };
+                    t.stage_ctrl(api, cfg, stats, stream, ctrl);
+                }
+                t.ctrl_streams.pop_front();
+                s.in_ctrl_queue = false;
+                if s.retirable() {
+                    streams.remove(&stream);
+                    closed.insert(stream);
+                }
             }
-            let (stream, ctrl) = t.pending_ctrl.remove(pick).expect("position just found");
-            // A CREDIT whose return was already piggybacked on an
-            // earlier message carries nothing — don't spend the
-            // reserve on it.
-            if matches!(ctrl, Ctrl::Credit) && t.owed_credits == 0 {
-                continue;
-            }
-            let msg = MuxCtrlMsg {
-                stream,
-                msg: CtrlMsg {
-                    ctrl,
-                    credit_return: t.owed_credits,
-                },
-            };
-            t.owed_credits = 0;
-            let wr_id = t.next_wr;
-            t.next_wr += 1;
-            let occupancy = api.sq_outstanding(t.qpn) + t.tx.staged();
-            t.tx.stage(
-                occupancy,
-                &self.cfg,
-                SendWr::send_inline(wr_id, msg.encode_bytes()),
-                false,
-                &mut self.stats,
-            );
-            t.peer_credits -= 1;
+        }
+        if t.credit_due && t.ctrl_room(api, cfg, CREDIT_RESERVE) {
+            stats.credits_sent += 1;
+            t.stage_ctrl(api, cfg, stats, STREAM_NONE, Ctrl::Credit);
         }
     }
 
-    /// Standalone CREDIT when returns pile up with nothing flowing.
+    /// Marks a standalone CREDIT owed when returns pile up. A CREDIT
+    /// returns at least `CREDIT_RESERVE + 1` credits, so it always lifts
+    /// a peer at its reserve to where it can send: a CREDIT returning a
+    /// single credit lets two sides at their reserve trade one-credit
+    /// CREDITs forever while nothing else moves.
     fn maybe_send_credit(&mut self, slot: usize) {
-        let threshold = self.cfg.effective_credit_threshold();
+        let threshold = self
+            .cfg
+            .effective_credit_threshold()
+            .max(CREDIT_RESERVE + 1);
         let Some(t) = self.transports[slot].as_mut() else {
             return;
         };
-        if t.owed_credits >= threshold
-            && t.peer_credits >= CREDIT_RESERVE
-            && !t
-                .pending_ctrl
-                .iter()
-                .any(|(_, c)| matches!(c, Ctrl::Credit))
-        {
-            t.pending_ctrl.push_back((STREAM_NONE, Ctrl::Credit));
-            self.stats.credits_sent += 1;
+        if t.owed_credits >= threshold && t.peer_credits >= CREDIT_RESERVE && !t.credit_due {
+            t.credit_due = true;
+            t.count_owed(&mut self.stats);
         }
     }
 
@@ -1484,6 +1618,26 @@ impl MuxEndpoint {
             .all(|s| s.sends.is_empty() && s.live_sends == 0)
     }
 
+    /// Indirect bytes this side sent that the peer has not yet returned
+    /// in stream-scoped ACKs, summed over the open streams' windows.
+    /// Once every receive has drained and the peer's ACKs have arrived,
+    /// this is 0.
+    pub fn window_unacked(&self) -> u64 {
+        self.streams.values().map(|s| s.window_out).sum()
+    }
+
+    /// Shared-ring bytes this side sent that the peer has not yet freed
+    /// in transport-scoped ACKs, summed over the pool's send-side ring
+    /// mirrors. Once every receive has drained and the peer's ACKs have
+    /// arrived, this is 0.
+    pub fn ring_unacked(&self) -> u64 {
+        self.transports
+            .iter()
+            .flatten()
+            .map(|t| t.send_mirror.in_use())
+            .sum()
+    }
+
     /// True while the endpoint still owes traffic to the wire: queued
     /// stream sends, un-flushed per-transport control frames, staged
     /// WQEs, or a closed stream whose FIN is not yet queued. Progress
@@ -1500,7 +1654,7 @@ impl MuxEndpoint {
                 .transports
                 .iter()
                 .flatten()
-                .any(|t| !t.pending_ctrl.is_empty() || t.tx.staged() > 0)
+                .any(|t| t.ctrl_queued > 0 || t.tx.staged() > 0)
     }
 
     /// Releases every registration the endpoint owns (shared rings and
@@ -1530,12 +1684,12 @@ impl MuxEndpoint {
             let _ = writeln!(
                 out,
                 "  slot {i}: qpn={} broken={} peer_credits={} owed_credits={} \
-                 pending_ctrl={} sendable={} ring {}/{} chunks={} inflight={}",
+                 ctrl_queued={} sendable={} ring {}/{} chunks={} inflight={}",
                 t.qpn.0,
                 t.broken,
                 t.peer_credits,
                 t.owed_credits,
-                t.pending_ctrl.len(),
+                t.ctrl_queued,
                 t.sendable.len(),
                 t.send_mirror.in_use(),
                 t.send_mirror.capacity(),

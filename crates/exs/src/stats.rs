@@ -19,12 +19,16 @@ pub struct ConnStats {
     /// Sender phase parity changes (direct ↔ indirect), Table III's
     /// "Mode Switch Count".
     pub mode_switches: u64,
-    /// ADVERTs emitted by this side's receiver half.
+    /// ADVERTs emitted by this side's receiver half. On the mux path,
+    /// as on the socket path, this counts adverts staged on the wire.
     pub adverts_sent: u64,
     /// ADVERTs received by this side's sender half.
     pub adverts_received: u64,
     /// Stale ADVERTs discarded by the sender matching algorithm.
     pub adverts_discarded: u64,
+    /// Mux adverts voided (by an indirect arrival or end-of-stream)
+    /// while still queued, and so never sent. Merging sums.
+    pub adverts_withdrawn: u64,
     /// Times the adaptive re-entry policy paused a ready send to wait
     /// for a resync ADVERT instead of going indirect
     /// ([`crate::config::DirectPolicy`]).
@@ -109,6 +113,9 @@ pub struct ConnStats {
     /// Arrivals carrying an unknown or already-closed stream id on a
     /// shared transport — the typed-error demux path. Merging sums.
     pub mux_demux_errors: u64,
+    /// Largest number of control messages one mux transport held
+    /// queued for the wire at once. Merging takes the max.
+    pub ctrl_queue_peak: u64,
     /// Protocol violations driven by peer input (malformed control
     /// messages, sequence regressions, overfilled rings) that broke the
     /// connection instead of aborting the process. Merging sums.
@@ -210,6 +217,7 @@ impl ConnStats {
         self.adverts_sent += other.adverts_sent;
         self.adverts_received += other.adverts_received;
         self.adverts_discarded += other.adverts_discarded;
+        self.adverts_withdrawn += other.adverts_withdrawn;
         self.resyncs_attempted += other.resyncs_attempted;
         self.resyncs_completed += other.resyncs_completed;
         self.advert_queue_peak = self.advert_queue_peak.max(other.advert_queue_peak);
@@ -239,6 +247,7 @@ impl ConnStats {
         self.fabric_flow_mbps_max = self.fabric_flow_mbps_max.max(other.fabric_flow_mbps_max);
         self.mux_streams_peak = self.mux_streams_peak.max(other.mux_streams_peak);
         self.mux_demux_errors += other.mux_demux_errors;
+        self.ctrl_queue_peak = self.ctrl_queue_peak.max(other.ctrl_queue_peak);
         self.protocol_errors += other.protocol_errors;
     }
 
@@ -253,6 +262,7 @@ impl ConnStats {
                 "\"direct_bytes\":{},\"indirect_bytes\":{},",
                 "\"mode_switches\":{},\"adverts_sent\":{},",
                 "\"adverts_received\":{},\"adverts_discarded\":{},",
+                "\"adverts_withdrawn\":{},",
                 "\"resyncs_attempted\":{},\"resyncs_completed\":{},",
                 "\"advert_queue_peak\":{},\"advert_queue_mean\":{:.6},",
                 "\"acks_sent\":{},\"acks_received\":{},\"credits_sent\":{},",
@@ -268,6 +278,7 @@ impl ConnStats {
                 "\"fabric_flow_mbps_max\":{:.3},",
                 "\"fabric_flow_samples\":{},",
                 "\"mux_streams_peak\":{},\"mux_demux_errors\":{},",
+                "\"ctrl_queue_peak\":{},",
                 "\"protocol_errors\":{},",
                 "\"mean_wqes_per_doorbell\":{:.6},",
                 "\"unsignaled_ratio\":{:.6},\"direct_ratio\":{:.6},",
@@ -281,6 +292,7 @@ impl ConnStats {
             self.adverts_sent,
             self.adverts_received,
             self.adverts_discarded,
+            self.adverts_withdrawn,
             self.resyncs_attempted,
             self.resyncs_completed,
             self.advert_queue_peak,
@@ -309,6 +321,7 @@ impl ConnStats {
             self.fabric_flow_samples,
             self.mux_streams_peak,
             self.mux_demux_errors,
+            self.ctrl_queue_peak,
             self.protocol_errors,
             self.mean_wqes_per_doorbell(),
             self.unsignaled_ratio(),
@@ -798,22 +811,30 @@ mod tests {
             mux_streams_peak: 100,
             mux_demux_errors: 2,
             protocol_errors: 1,
+            adverts_withdrawn: 6,
+            ctrl_queue_peak: 9,
             ..ConnStats::default()
         };
         let other = ConnStats {
             mux_streams_peak: 64,
             mux_demux_errors: 3,
             protocol_errors: 4,
+            adverts_withdrawn: 1,
+            ctrl_queue_peak: 17,
             ..ConnStats::default()
         };
         s.merge(&other);
         assert_eq!(s.mux_streams_peak, 100, "peak takes the max");
+        assert_eq!(s.adverts_withdrawn, 7, "withdrawn adverts sum");
+        assert_eq!(s.ctrl_queue_peak, 17, "queue peak takes the max");
         assert_eq!(s.mux_demux_errors, 5, "demux errors sum");
         assert_eq!(s.protocol_errors, 5, "protocol errors sum");
         let j = s.to_json();
         assert!(j.contains("\"mux_streams_peak\":100"));
         assert!(j.contains("\"mux_demux_errors\":5"));
         assert!(j.contains("\"protocol_errors\":5"));
+        assert!(j.contains("\"adverts_withdrawn\":7"));
+        assert!(j.contains("\"ctrl_queue_peak\":17"));
     }
 
     #[test]

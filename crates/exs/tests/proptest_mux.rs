@@ -2,7 +2,11 @@
 //! of streams post messages of random sizes in a random interleaved
 //! schedule over one pooled QP set, and every stream must deliver its
 //! bytes exactly, in order, with no cross-stream contamination — on
-//! both the simulated and the threaded backend.
+//! both the simulated and the threaded backend. Under tight credit and
+//! ring budgets, with traffic both ways, the coalesced control plane
+//! must also conserve flow control: at quiescence every window and
+//! ring byte has been ACKed exactly once, and no withdrawn advert
+//! reached the wire.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,7 +16,7 @@ use proptest::prelude::*;
 use exs::threaded::connect_mux_over;
 use exs::{connect_mux_pair, ExsConfig, MuxEndpoint, MuxEvent, ThreadPort, VerbsPort};
 use rdma_verbs::{
-    Access, HcaConfig, HostModel, MrInfo, NodeApi, NodeApp, SimNet, ThreadNet, ThreadNode,
+    Access, HcaConfig, HostModel, MrInfo, NodeApi, NodeApp, NodeId, SimNet, ThreadNet, ThreadNode,
 };
 use simnet::{LinkConfig, SimDuration, SimTime};
 
@@ -97,6 +101,11 @@ impl Plan {
     fn total(&self, stream: usize) -> usize {
         self.sizes[stream].iter().sum()
     }
+
+    /// A direction that carries nothing on any of `streams` streams.
+    fn idle(streams: usize) -> Plan {
+        Plan::build(vec![Vec::new(); streams], 0)
+    }
 }
 
 fn recvs_done(evs: &[MuxEvent]) -> usize {
@@ -133,6 +142,8 @@ struct Host {
     events: Vec<MuxEvent>,
     want_sends: usize,
     want_recvs: usize,
+    /// Never done: the run goes on until no event is left.
+    quiesce: bool,
 }
 
 impl NodeApp for Host {
@@ -145,35 +156,26 @@ impl NodeApp for Host {
         self.events.extend(ep.take_events());
     }
     fn is_done(&self) -> bool {
-        sends_done(&self.events) >= self.want_sends
+        !self.quiesce
+            && sends_done(&self.events) >= self.want_sends
             && recvs_done(&self.events) >= self.want_recvs
             && self.ep.as_ref().unwrap().sends_drained()
     }
 }
 
-fn run_sim(plan: &Plan) {
-    let cfg = small_cfg();
-    let mut net = SimNet::new();
-    let na = net.add_node(HostModel::free(), HcaConfig::default());
-    let nb = net.add_node(HostModel::free(), HcaConfig::default());
-    net.connect_nodes(
-        na,
-        nb,
-        LinkConfig::simple(100_000_000_000, SimDuration::from_micros(1)),
-        0,
-    );
+/// Registers one direction's buffers, posts every receive of `plan` on
+/// `rx` and then every send on `tx` in the plan's schedule. Returns the
+/// receive regions and the number of receives posted.
+fn post_direction(
+    net: &mut SimNet,
+    (ntx, tx): (NodeId, &mut MuxEndpoint),
+    (nrx, rx): (NodeId, &mut MuxEndpoint),
+    plan: &Plan,
+) -> (Vec<MrInfo>, usize) {
     let streams = plan.sizes.len();
-    let mut a = MuxEndpoint::new(na, &cfg);
-    let mut b = MuxEndpoint::new(nb, &cfg);
-    for id in 0..streams as u32 {
-        a.open_stream(id).unwrap();
-        b.open_stream(id).unwrap();
-    }
-    connect_mux_pair(&mut net, &mut a, &mut b);
-
     let send_mrs: Vec<MrInfo> = (0..streams)
         .map(|s| {
-            net.with_api(na, |api| {
+            net.with_api(ntx, |api| {
                 let mr = api.register_mr(plan.total(s).max(1), Access::NONE);
                 let data: Vec<u8> = (0..plan.total(s)).map(|i| payload(s, i)).collect();
                 api.write_mr(mr.key, mr.addr, &data).unwrap();
@@ -183,30 +185,30 @@ fn run_sim(plan: &Plan) {
         .collect();
     let recv_mrs: Vec<MrInfo> = (0..streams)
         .map(|s| {
-            net.with_api(nb, |api| {
+            net.with_api(nrx, |api| {
                 api.register_mr(plan.total(s).max(1), Access::local_remote_write())
             })
         })
         .collect();
 
-    let mut want_recvs = 0;
-    net.with_api(nb, |api| {
+    let mut recvs = 0;
+    net.with_api(nrx, |api| {
         for (s, splits) in plan.recv_splits.iter().enumerate() {
             let mut off = 0u64;
             for (i, &len) in splits.iter().enumerate() {
-                b.mux_recv(api, s as u32, &recv_mrs[s], off, len, true, i as u64)
+                rx.mux_recv(api, s as u32, &recv_mrs[s], off, len, true, i as u64)
                     .unwrap();
                 off += len as u64;
-                want_recvs += 1;
+                recvs += 1;
             }
         }
     });
     let mut next_msg = vec![0usize; streams];
     let mut offsets = vec![0u64; streams];
-    net.with_api(na, |api| {
+    net.with_api(ntx, |api| {
         for &s in &plan.schedule {
             let len = plan.sizes[s][next_msg[s]];
-            a.mux_send(
+            tx.mux_send(
                 api,
                 s as u32,
                 &send_mrs[s],
@@ -219,32 +221,12 @@ fn run_sim(plan: &Plan) {
             next_msg[s] += 1;
         }
     });
+    (recv_mrs, recvs)
+}
 
-    let mut ha = Host {
-        ep: Some(a),
-        events: Vec::new(),
-        want_sends: plan.schedule.len(),
-        want_recvs: 0,
-    };
-    let mut hb = Host {
-        ep: Some(b),
-        events: Vec::new(),
-        want_sends: 0,
-        want_recvs,
-    };
-    let outcome = net.run(&mut [&mut ha, &mut hb], SimTime::from_secs(30));
-    assert!(
-        outcome.completed,
-        "sim mux run stalled: sends {}/{} recvs {}/{}",
-        sends_done(&ha.events),
-        plan.schedule.len(),
-        recvs_done(&hb.events),
-        want_recvs,
-    );
-
-    let bufs: Vec<Vec<u8>> = net.with_api(nb, |api| {
-        recv_mrs
-            .iter()
+fn read_back(net: &mut SimNet, node: NodeId, mrs: &[MrInfo], plan: &Plan) -> Vec<Vec<u8>> {
+    net.with_api(node, |api| {
+        mrs.iter()
             .enumerate()
             .map(|(s, mr)| {
                 let mut buf = vec![0u8; plan.total(s)];
@@ -252,14 +234,90 @@ fn run_sim(plan: &Plan) {
                 buf
             })
             .collect()
-    });
-    check_delivery(&bufs, plan);
+    })
+}
+
+/// Runs `ab` from endpoint a to b and `ba` from b to a over one pool,
+/// checks delivery, then runs the simulation dry and checks that flow
+/// control balanced out and both sides' advert counts agree.
+fn run_sim(cfg: &ExsConfig, ab: &Plan, ba: &Plan) {
+    let mut net = SimNet::new();
+    let na = net.add_node(HostModel::free(), HcaConfig::default());
+    let nb = net.add_node(HostModel::free(), HcaConfig::default());
+    net.connect_nodes(
+        na,
+        nb,
+        LinkConfig::simple(100_000_000_000, SimDuration::from_micros(1)),
+        0,
+    );
+    let streams = ab.sizes.len();
+    let mut a = MuxEndpoint::new(na, cfg);
+    let mut b = MuxEndpoint::new(nb, cfg);
+    for id in 0..streams as u32 {
+        a.open_stream(id).unwrap();
+        b.open_stream(id).unwrap();
+    }
+    connect_mux_pair(&mut net, &mut a, &mut b);
+
+    let (b_mrs, b_recvs) = post_direction(&mut net, (na, &mut a), (nb, &mut b), ab);
+    let (a_mrs, a_recvs) = post_direction(&mut net, (nb, &mut b), (na, &mut a), ba);
+
+    let mut ha = Host {
+        ep: Some(a),
+        events: Vec::new(),
+        want_sends: ab.schedule.len(),
+        want_recvs: a_recvs,
+        quiesce: false,
+    };
+    let mut hb = Host {
+        ep: Some(b),
+        events: Vec::new(),
+        want_sends: ba.schedule.len(),
+        want_recvs: b_recvs,
+        quiesce: false,
+    };
+    let outcome = net.run(&mut [&mut ha, &mut hb], SimTime::from_secs(30));
+    assert!(
+        outcome.completed,
+        "sim mux run stalled: a sends {}/{} recvs {}/{}, b sends {}/{} recvs {}/{}",
+        sends_done(&ha.events),
+        ab.schedule.len(),
+        recvs_done(&ha.events),
+        a_recvs,
+        sends_done(&hb.events),
+        ba.schedule.len(),
+        recvs_done(&hb.events),
+        b_recvs,
+    );
+
+    check_delivery(&read_back(&mut net, nb, &b_mrs, ab), ab);
+    check_delivery(&read_back(&mut net, na, &a_mrs, ba), ba);
+
+    // Let every ACK, advert and credit return still owed or in flight
+    // land, then check that the books balance.
+    ha.quiesce = true;
+    hb.quiesce = true;
+    net.run(&mut [&mut ha, &mut hb], SimTime::from_secs(60));
     let a = ha.ep.take().unwrap();
     let b = hb.ep.take().unwrap();
-    assert_eq!(a.stats().protocol_errors, 0);
-    assert_eq!(b.stats().protocol_errors, 0);
-    assert_eq!(b.stats().mux_demux_errors, 0);
-    assert!(a.last_error().is_none() && b.last_error().is_none());
+    for (name, ep) in [("a", &a), ("b", &b)] {
+        assert_eq!(ep.stats().protocol_errors, 0, "{name}");
+        assert_eq!(ep.stats().mux_demux_errors, 0, "{name}");
+        assert!(ep.last_error().is_none(), "{name}: {:?}", ep.last_error());
+        assert!(!ep.has_unsent(), "{name} still owes the wire");
+        assert_eq!(ep.window_unacked(), 0, "{name} window bytes never ACKed");
+        assert_eq!(ep.ring_unacked(), 0, "{name} ring bytes never ACKed");
+    }
+    assert_eq!(
+        b.stats().adverts_sent,
+        a.stats().adverts_received,
+        "b sent adverts a never received"
+    );
+    assert_eq!(
+        a.stats().adverts_sent,
+        b.stats().adverts_received,
+        "a sent adverts b never received"
+    );
 }
 
 // --- threaded backend -------------------------------------------------
@@ -404,7 +462,41 @@ proptest! {
         sizes in sizes_strategy(),
         seed in any::<u64>(),
     ) {
-        run_sim(&Plan::build(sizes, seed));
+        let plan = Plan::build(sizes, seed);
+        run_sim(&small_cfg(), &plan, &Plan::idle(plan.sizes.len()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Tight budgets, traffic both ways: few credits, a ring that holds
+    /// a message or two, a shallow SQ. Every byte arrives once and in
+    /// order, and at quiescence each side's windows and ring mirrors are
+    /// fully ACKed — a coalesced ACK neither loses nor double-counts a
+    /// byte — and every advert one side sent, the other received.
+    #[test]
+    fn sim_tight_budgets_conserve_bytes_windows_and_adverts(
+        (streams, credits, ring_kib, sq_depth) in (2usize..9, 4u32..17, 1u64..5, 4usize..33),
+        ab_sizes in proptest::collection::vec(proptest::collection::vec(1usize..3000, 0..5), 8),
+        ba_sizes in proptest::collection::vec(proptest::collection::vec(1usize..3000, 0..5), 8),
+        seed in any::<u64>(),
+    ) {
+        let cfg = ExsConfig {
+            ring_capacity: ring_kib << 10,
+            credits,
+            sq_depth,
+            ..ExsConfig::default()
+        };
+        let mut ab_sizes = ab_sizes;
+        let mut ba_sizes = ba_sizes;
+        ab_sizes.truncate(streams);
+        ba_sizes.truncate(streams);
+        run_sim(
+            &cfg,
+            &Plan::build(ab_sizes, seed),
+            &Plan::build(ba_sizes, seed.rotate_left(17)),
+        );
     }
 }
 

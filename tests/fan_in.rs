@@ -3,14 +3,17 @@
 //! per-stream integrity under CPU contention at the shared receiver,
 //! and link sharing on the server's ingress.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
 use rdma_stream::blast::fan_in::{expected_digest, fan_in_cfg, fnv1a, payload_byte, FNV_OFFSET};
-use rdma_stream::blast::{run_fan_in, FanInSpec, VerifyLevel};
+use rdma_stream::blast::{run_fan_in, FanInSpec, SizeDist, VerifyLevel};
+use rdma_stream::exs::threaded::connect_mux_over;
 use rdma_stream::exs::{
-    ConnStats, DirectPolicy, Event, ExsConfig, ExsContext, ExsFd, MsgFlags, ProtocolMode,
-    ReactorConfig, SockType, ThreadReactor,
+    connect_mux_pair, ConnStats, DirectPolicy, Event, ExsConfig, ExsContext, ExsFd, MsgFlags,
+    MuxEndpoint, MuxEvent, ProtocolMode, ReactorConfig, SockType, ThreadPort, ThreadReactor,
+    VerbsPort,
 };
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::threaded::ThreadNet;
@@ -517,4 +520,476 @@ fn large_message_fan_in_recovers_direct_mode_on_both_backends() {
             tx.direct_byte_ratio()
         );
     }
+}
+
+// --- Mux fan-in at the fan-in budget: the control-plane regression gate ---
+
+/// Streams into the server, in one block of ids per client node, so
+/// each node's streams stripe over all its pooled QPs.
+const MUX_STREAMS: usize = 256;
+const MUX_NODES: usize = 4;
+const MUX_PER_NODE: usize = MUX_STREAMS / MUX_NODES;
+/// Messages per stream: far past the fast start, so a control plane
+/// whose backlog grows as the fan-in runs shows as a slowdown.
+const MUX_MSGS: usize = 32;
+const MUX_SIZES: SizeDist = SizeDist::Uniform {
+    lo: 64,
+    hi: 8 << 10,
+};
+const MUX_OUTSTANDING: usize = 2;
+const MUX_PREPOST: usize = 4;
+const MUX_SEED: u64 = 12;
+
+/// The repository's fan-in connection budget: 64 KiB ring, 16 credits,
+/// SQ depth 16.
+fn mux_budget_cfg() -> ExsConfig {
+    ExsConfig {
+        ring_capacity: 64 << 10,
+        credits: 16,
+        sq_depth: 16,
+        ..ExsConfig::default()
+    }
+}
+
+/// The stream ids client node `node` carries.
+fn mux_streams_of(node: usize) -> std::ops::Range<usize> {
+    node * MUX_PER_NODE..(node + 1) * MUX_PER_NODE
+}
+
+fn mux_sizes(stream: usize) -> Vec<u64> {
+    MUX_SIZES.sample_many(MUX_SEED.wrapping_mul(1_000_003) + stream as u64, MUX_MSGS)
+}
+
+/// One stream's send side: [`MUX_OUTSTANDING`] sends in flight from
+/// their own registered slots, then a close.
+struct MuxTx {
+    idx: usize,
+    sizes: Vec<u64>,
+    slots: Vec<MrInfo>,
+    free: Vec<usize>,
+    slot_of: Vec<usize>,
+    sent: usize,
+    acked: usize,
+    pos: u64,
+    closed: bool,
+}
+
+/// One client node: every stream it carries, on one endpoint.
+struct MuxSender {
+    ep: MuxEndpoint,
+    streams: Vec<MuxTx>,
+    scratch: Vec<u8>,
+}
+
+impl MuxSender {
+    fn new(api: &mut impl VerbsPort, ep: MuxEndpoint, node: usize) -> MuxSender {
+        let streams = mux_streams_of(node)
+            .map(|idx| MuxTx {
+                idx,
+                sizes: mux_sizes(idx),
+                slots: (0..MUX_OUTSTANDING)
+                    .map(|_| api.register_mr(MUX_SIZES.max_size() as usize, Access::NONE))
+                    .collect(),
+                free: (0..MUX_OUTSTANDING).collect(),
+                slot_of: vec![0; MUX_MSGS],
+                sent: 0,
+                acked: 0,
+                pos: 0,
+                closed: false,
+            })
+            .collect();
+        MuxSender {
+            ep,
+            streams,
+            scratch: Vec::new(),
+        }
+    }
+
+    fn kick(&mut self, api: &mut impl VerbsPort, local: usize) {
+        let s = &mut self.streams[local];
+        while s.sent < MUX_MSGS {
+            let Some(slot) = s.free.pop() else { break };
+            let (len, mr) = (s.sizes[s.sent], s.slots[slot]);
+            self.scratch.clear();
+            self.scratch
+                .extend((0..len).map(|i| payload_byte(MUX_SEED, s.idx, s.pos + i)));
+            api.write_mr(mr.key, mr.addr, &self.scratch).unwrap();
+            s.slot_of[s.sent] = slot;
+            self.ep
+                .mux_send(api, s.idx as u32, &mr, 0, len, s.sent as u64)
+                .expect("send on an open stream");
+            s.pos += len;
+            s.sent += 1;
+        }
+        if s.acked == MUX_MSGS && !s.closed {
+            self.ep.close_stream(api, s.idx as u32);
+            s.closed = true;
+        }
+    }
+
+    fn start(&mut self, api: &mut impl VerbsPort) {
+        for local in 0..self.streams.len() {
+            self.kick(api, local);
+        }
+    }
+
+    /// Drains the endpoint and refills the streams whose sends
+    /// completed. Returns true on any event.
+    fn service(&mut self, api: &mut impl VerbsPort) -> bool {
+        self.ep.handle_wake(api);
+        let events = self.ep.take_events();
+        for ev in &events {
+            match *ev {
+                MuxEvent::SendComplete { stream, id, .. } => {
+                    let local = stream as usize % MUX_PER_NODE;
+                    let s = &mut self.streams[local];
+                    s.free.push(s.slot_of[id as usize]);
+                    s.acked += 1;
+                    self.kick(api, local);
+                }
+                MuxEvent::TransportError { slot } => {
+                    panic!("client transport {slot}: {:?}", self.ep.last_error())
+                }
+                MuxEvent::StreamClosed { .. } | MuxEvent::RecvComplete { .. } => {}
+            }
+        }
+        !events.is_empty()
+    }
+
+    fn done(&self) -> bool {
+        self.streams.iter().all(|s| s.closed)
+    }
+}
+
+/// One stream's receive side: [`MUX_PREPOST`] receives kept posted, a
+/// digest of the delivered byte stream, and the message boundaries
+/// that turn delivered bytes into delivered messages.
+struct MuxRx {
+    idx: usize,
+    mrs: Vec<MrInfo>,
+    posted: VecDeque<(u64, usize)>,
+    free: Vec<usize>,
+    /// Stream offsets at which each message ends.
+    ends: Vec<u64>,
+    next_msg: usize,
+    received: u64,
+    digest: u64,
+    eof: bool,
+}
+
+/// The server's peer endpoint for one client node.
+struct MuxReceiver {
+    ep: MuxEndpoint,
+    streams: Vec<MuxRx>,
+    next_id: u64,
+    scratch: Vec<u8>,
+}
+
+impl MuxReceiver {
+    fn new(api: &mut impl VerbsPort, ep: MuxEndpoint, node: usize) -> MuxReceiver {
+        let streams = mux_streams_of(node)
+            .map(|idx| MuxRx {
+                idx,
+                mrs: (0..MUX_PREPOST)
+                    .map(|_| {
+                        api.register_mr(MUX_SIZES.max_size() as usize, Access::local_remote_write())
+                    })
+                    .collect(),
+                posted: VecDeque::new(),
+                free: (0..MUX_PREPOST).collect(),
+                ends: mux_sizes(idx)
+                    .iter()
+                    .scan(0, |end, &len| {
+                        *end += len;
+                        Some(*end)
+                    })
+                    .collect(),
+                next_msg: 0,
+                received: 0,
+                digest: FNV_OFFSET,
+                eof: false,
+            })
+            .collect();
+        MuxReceiver {
+            ep,
+            streams,
+            next_id: 0,
+            scratch: Vec::new(),
+        }
+    }
+
+    fn refill(&mut self, api: &mut impl VerbsPort, local: usize) {
+        let s = &mut self.streams[local];
+        let total = *s.ends.last().expect("every stream sends");
+        while !s.eof && s.received < total {
+            let Some(slot) = s.free.pop() else { break };
+            let id = self.next_id;
+            self.next_id += 1;
+            self.ep
+                .mux_recv(
+                    api,
+                    s.idx as u32,
+                    &s.mrs[slot],
+                    0,
+                    MUX_SIZES.max_size() as u32,
+                    false,
+                    id,
+                )
+                .expect("receive on an open stream");
+            s.posted.push_back((id, slot));
+        }
+    }
+
+    fn start(&mut self, api: &mut impl VerbsPort) {
+        for local in 0..self.streams.len() {
+            self.refill(api, local);
+        }
+    }
+
+    /// Drains the endpoint, folds delivered bytes into the digests and
+    /// reposts receives. Returns the messages completed by this call
+    /// and whether any event arrived.
+    fn service(&mut self, api: &mut impl VerbsPort) -> (usize, bool) {
+        self.ep.handle_wake(api);
+        let events = self.ep.take_events();
+        let mut delivered = 0;
+        for ev in &events {
+            match *ev {
+                MuxEvent::RecvComplete { stream, id, len } => {
+                    let local = stream as usize % MUX_PER_NODE;
+                    let s = &mut self.streams[local];
+                    let (posted_id, slot) = s.posted.pop_front().expect("a posted receive");
+                    assert_eq!(posted_id, id, "receives complete in posting order");
+                    let mr = s.mrs[slot];
+                    self.scratch.resize(len as usize, 0);
+                    api.read_mr(mr.key, mr.addr, &mut self.scratch).unwrap();
+                    s.digest = fnv1a(s.digest, &self.scratch);
+                    s.received += len as u64;
+                    while s.next_msg < s.ends.len() && s.ends[s.next_msg] <= s.received {
+                        s.next_msg += 1;
+                        delivered += 1;
+                    }
+                    s.free.push(slot);
+                    self.refill(api, local);
+                }
+                MuxEvent::StreamClosed { stream } => {
+                    self.streams[stream as usize % MUX_PER_NODE].eof = true;
+                    self.ep.close_stream(api, stream);
+                }
+                MuxEvent::TransportError { slot } => {
+                    panic!("server transport {slot}: {:?}", self.ep.last_error())
+                }
+                MuxEvent::SendComplete { .. } => {}
+            }
+        }
+        (delivered, !events.is_empty())
+    }
+
+    fn done(&self) -> bool {
+        self.streams
+            .iter()
+            .all(|s| s.eof && s.next_msg == s.ends.len())
+    }
+}
+
+struct SimMuxClient(MuxSender);
+
+impl NodeApp for SimMuxClient {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        self.0.start(api);
+    }
+    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+        self.0.service(api);
+    }
+    fn is_done(&self) -> bool {
+        self.0.done()
+    }
+}
+
+struct SimMuxServer {
+    rx: Vec<MuxReceiver>,
+    /// Simulated time of every message delivery, in order.
+    delivered_at: Vec<SimTime>,
+}
+
+impl NodeApp for SimMuxServer {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        for rx in &mut self.rx {
+            rx.start(api);
+        }
+    }
+    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+        for rx in &mut self.rx {
+            let (delivered, _) = rx.service(api);
+            let now = api.now();
+            self.delivered_at
+                .extend(std::iter::repeat_n(now, delivered));
+        }
+    }
+    fn is_done(&self) -> bool {
+        self.rx.iter().all(MuxReceiver::done)
+    }
+}
+
+/// Per-stream digests, in stream order.
+fn mux_digests(rx: &[MuxReceiver]) -> Vec<u64> {
+    let mut digests = vec![0; MUX_STREAMS];
+    for s in rx.iter().flat_map(|r| &r.streams) {
+        digests[s.idx] = s.digest;
+    }
+    digests
+}
+
+fn assert_mux_digests(digests: &[u64], backend: &str) {
+    for (idx, &d) in digests.iter().enumerate() {
+        let total: u64 = mux_sizes(idx).iter().sum();
+        assert_eq!(
+            d,
+            expected_digest(MUX_SEED, idx, total),
+            "{backend} stream {idx} delivery"
+        );
+    }
+}
+
+/// Regression gate for the mux control plane: a fan-in of small
+/// messages at the fan-in budget must keep its pace. A control queue
+/// that grows behind the one-credit reserve shows here as a queue peak
+/// past the per-transport bound, as control messages outnumbering the
+/// data, and as a fan-in that slows the longer it runs.
+#[test]
+fn mux_fan_in_control_plane_stays_bounded_and_keeps_pace() {
+    use rdma_stream::verbs::{FabricModel, FairShareConfig};
+
+    let profile = profiles::fdr_infiniband();
+    let cfg = mux_budget_cfg();
+    let mut net = SimNet::new();
+    net.set_fabric(FabricModel::FairShare(FairShareConfig::new(MUX_SEED)));
+    net.set_host_seed(MUX_SEED);
+    let server = net.add_node(profile.host.clone(), profile.hca.clone());
+    let nodes: Vec<NodeId> = (0..MUX_NODES)
+        .map(|_| net.add_node(profile.host.clone(), profile.hca.clone()))
+        .collect();
+    let mut clients = Vec::new();
+    let mut rx = Vec::new();
+    for (i, &node) in nodes.iter().enumerate() {
+        net.connect_nodes(node, server, profile.link.clone(), MUX_SEED + i as u64);
+        let mut cep = MuxEndpoint::new(node, &cfg);
+        let mut sep = MuxEndpoint::new(server, &cfg);
+        for idx in mux_streams_of(i) {
+            cep.open_stream(idx as u32).unwrap();
+            sep.open_stream(idx as u32).unwrap();
+        }
+        connect_mux_pair(&mut net, &mut cep, &mut sep);
+        clients.push(SimMuxClient(
+            net.with_api(node, |api| MuxSender::new(api, cep, i)),
+        ));
+        rx.push(net.with_api(server, |api| MuxReceiver::new(api, sep, i)));
+    }
+    let mut srv = SimMuxServer {
+        rx,
+        delivered_at: Vec::new(),
+    };
+    let mut apps: Vec<&mut dyn NodeApp> = vec![&mut srv];
+    for c in clients.iter_mut() {
+        apps.push(c);
+    }
+    let outcome = net.run(&mut apps, SimTime::from_secs(60));
+    assert!(outcome.completed, "mux fan-in stalled: {outcome:?}");
+    assert_mux_digests(&mux_digests(&srv.rx), "sim");
+
+    let mut stats = ConnStats::default();
+    for ep in srv
+        .rx
+        .iter()
+        .map(|r| &r.ep)
+        .chain(clients.iter().map(|c| &c.0.ep))
+    {
+        stats.merge(ep.stats());
+    }
+    assert_eq!(stats.protocol_errors, 0);
+    let pool = cfg.mux.qp_pool_size;
+    let per_transport = (0..MUX_NODES)
+        .flat_map(|node| {
+            let ep = &srv.rx[node].ep;
+            (0..pool).map(move |slot| {
+                mux_streams_of(node)
+                    .filter(|&i| ep.slot_of(i as u32) == slot)
+                    .count()
+            })
+        })
+        .max()
+        .unwrap();
+    assert!(
+        stats.ctrl_queue_peak <= 2 * per_transport as u64 + 2,
+        "control queue peaked at {} for {per_transport} streams per transport",
+        stats.ctrl_queue_peak
+    );
+    let msgs = (MUX_STREAMS * MUX_MSGS) as f64;
+    let ctrl = (stats.adverts_sent + stats.acks_sent + stats.credits_sent) as f64;
+    assert!(
+        ctrl / msgs <= 4.0,
+        "{:.1} control messages per delivered message",
+        ctrl / msgs
+    );
+
+    let at = &srv.delivered_at;
+    let n = at.len();
+    assert_eq!(n, MUX_STREAMS * MUX_MSGS);
+    let first = at[n / 4 - 1].saturating_duration_since(SimTime::ZERO);
+    let last = at[n - 1].saturating_duration_since(at[n - 1 - n / 4]);
+    let slowdown = last.as_nanos() as f64 / first.as_nanos() as f64;
+    assert!(
+        slowdown <= 2.0,
+        "the last quarter of deliveries took {slowdown:.1}x the first quarter's time"
+    );
+}
+
+/// The same fan-in on the real-thread fabric delivers the same bytes.
+#[test]
+fn mux_fan_in_at_the_budget_matches_digests_on_threads() {
+    let cfg = mux_budget_cfg();
+    let mut net = ThreadNet::new();
+    let server = net.add_node(HcaConfig::default());
+    let nodes: Vec<_> = (0..MUX_NODES)
+        .map(|_| net.add_node(HcaConfig::default()))
+        .collect();
+    for node in &nodes {
+        net.connect_nodes(node, &server, Duration::ZERO);
+    }
+    let mut clients = Vec::new();
+    let mut rx = Vec::new();
+    for (i, node) in nodes.iter().enumerate() {
+        let mut cep = MuxEndpoint::new(node.id(), &cfg);
+        let mut sep = MuxEndpoint::new(server.id(), &cfg);
+        for idx in mux_streams_of(i) {
+            cep.open_stream(idx as u32).unwrap();
+            sep.open_stream(idx as u32).unwrap();
+        }
+        connect_mux_over(&net, (node, &mut cep), (&server, &mut sep));
+        let mut sender = MuxSender::new(&mut ThreadPort::new(&net, node), cep, i);
+        let mut receiver = MuxReceiver::new(&mut ThreadPort::new(&net, &server), sep, i);
+        receiver.start(&mut ThreadPort::new(&net, &server));
+        sender.start(&mut ThreadPort::new(&net, node));
+        clients.push(sender);
+        rx.push(receiver);
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    while !rx.iter().all(MuxReceiver::done) || !clients.iter().all(MuxSender::done) {
+        let mut busy = false;
+        for (c, node) in clients.iter_mut().zip(&nodes) {
+            busy |= c.service(&mut ThreadPort::new(&net, node));
+        }
+        for r in rx.iter_mut() {
+            busy |= r.service(&mut ThreadPort::new(&net, &server)).1;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "threaded mux fan-in stalled"
+        );
+        if !busy {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+    assert_mux_digests(&mux_digests(&rx), "threaded");
+    net.quiesce();
 }

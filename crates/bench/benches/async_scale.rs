@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use blast::fan_in::{expected_digest, payload_byte, FNV_OFFSET};
-use blast::{run_fan_in, FanInSpec, VerifyLevel};
+use blast::{run_fan_in, FanInSpec, ServerKind, VerifyLevel};
 use exs::threaded::connect_sockets_shared;
 use exs::{Executor, ExsConfig, ExsError, Reactor, ReactorConfig};
 use exs_bench::quick;
@@ -38,9 +38,9 @@ const SEED: u64 = 29;
 const MSGS: usize = 4;
 const MSG_LEN: u64 = 4 << 10;
 
-fn spec_for(conns: usize, aio: bool) -> FanInSpec {
+fn spec_for(conns: usize, server: ServerKind) -> FanInSpec {
     FanInSpec {
-        aio,
+        server,
         msgs_per_conn: MSGS,
         msg_len: MSG_LEN,
         outstanding_sends: 2,
@@ -203,8 +203,8 @@ fn main() {
     );
 
     for &(tasks, tag) in scales {
-        let callback = run_fan_in(&spec_for(tasks, false));
-        let aio = run_fan_in(&spec_for(tasks, true));
+        let callback = run_fan_in(&spec_for(tasks, ServerKind::Callback));
+        let aio = run_fan_in(&spec_for(tasks, ServerKind::Aio));
         let ratio = if callback.throughput_mbps() > 0.0 {
             aio.throughput_mbps() / callback.throughput_mbps()
         } else {

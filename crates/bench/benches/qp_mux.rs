@@ -28,13 +28,13 @@
 use std::path::Path;
 
 use blast::fan_in::expected_digest;
-use blast::{run_fan_in, FanInReport, FanInSpec, VerifyLevel};
+use blast::{run_fan_in, FanInReport, FanInSpec, ServerKind, VerifyLevel};
 use exs_bench::quick;
 use rdma_verbs::profiles;
 
-fn spec_for(streams: usize, mux: bool) -> FanInSpec {
+fn spec_for(streams: usize, server: ServerKind) -> FanInSpec {
     FanInSpec {
-        mux,
+        server,
         msgs_per_conn: 1,
         msg_len: 512,
         outstanding_sends: 1,
@@ -73,7 +73,7 @@ fn main() {
 
     // Measured QP-per-stream baseline, at the scale where 1k private
     // rings still fit: throughput/setup context and digest identity.
-    let baseline_spec = spec_for(1_000, false);
+    let baseline_spec = spec_for(1_000, ServerKind::Callback);
     let baseline = run_fan_in(&baseline_spec);
     println!(
         "{:>8} {:>12} {:>14.1} {:>12.1} {:>14} {:>14} {:>7} {:>9.2}",
@@ -88,7 +88,7 @@ fn main() {
     );
 
     for &(streams, tag) in counts {
-        let spec = spec_for(streams, true);
+        let spec = spec_for(streams, ServerKind::Mux);
         let report = run_fan_in(&spec);
         let per_stream = report.memory_per_stream().expect("mux run models memory");
         let baseline_per_stream =

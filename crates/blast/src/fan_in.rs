@@ -3,27 +3,30 @@
 //! Where [`crate::runner`] reproduces the paper's 1:1 blast tool, this
 //! module measures the server-scalability question the reactor
 //! subsystem exists for: how one node multiplexes hundreds or thousands
-//! of EXS connections through a single [`Reactor`] over shared
-//! completion queues, instead of polling per-connection CQs.
+//! of EXS connections over shared completion queues, instead of polling
+//! per-connection CQs. [`run_fan_in`] builds the topology, the clients
+//! and the report once; [`ServerKind`] picks how the server consumes:
+//! a callback loop over a [`ReactorPool`], one async task per
+//! connection, or every connection as a stream on pooled-QP
+//! [`MuxEndpoint`]s.
 //!
 //! The run reports aggregate ingress throughput, the per-connection
 //! direct:indirect split, and the reactor's event-loop counters (CQ
 //! drain batch sizes, fairness deferrals). Per-connection delivery is
-//! digested with FNV-1a in arrival order so different backends running
-//! the same seed can be compared byte-for-byte.
+//! digested with FNV-1a in arrival order so different server kinds and
+//! backends running the same seed can be compared byte-for-byte.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use exs::{
-    connect_mux_pair, shard::choose_shard, AioStats, ConnId, ConnStats, DirectPolicy, Executor,
-    ExsConfig, ExsError, ExsEvent, MemPool, MemPoolConfig, MrLease, MuxEndpoint, MuxEvent, MuxId,
-    PoolStats, Reactor, ReactorConfig, ReactorPool, ReactorStats, ShardBalance, ShardConfig,
-    ShardHandle, ShardPolicy, ShardStats, SimShardDriver, StreamSocket,
+    connect_mux_pair, AioStats, ConnStats, DirectPolicy, Executor, ExsConfig, ExsError, ExsEvent,
+    MemPool, MemPoolConfig, MrLease, MuxEndpoint, MuxEvent, MuxId, Placement, PoolStats, Reactor,
+    ReactorConfig, ReactorPool, ReactorStats, Readiness, ShardBalance, ShardConfig, ShardHandle,
+    ShardPolicy, ShardStats, SimDriver, StreamSocket,
 };
 use rdma_verbs::{
     Access, FabricModel, FabricStats, HwProfile, MrInfo, NodeApi, NodeApp, NodeId, SimNet,
@@ -81,6 +84,28 @@ pub fn fan_in_cfg() -> ExsConfig {
     }
 }
 
+/// How the fan-in server consumes its connections. Delivered bytes and
+/// digests are identical across kinds; only the consumption or
+/// transport model changes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ServerKind {
+    /// A callback loop over a [`ReactorPool`]: every connection keeps
+    /// `prepost_recvs` receives posted and folds each completion.
+    #[default]
+    Callback,
+    /// One async task per connection (a `recv_some` loop folding the
+    /// same FNV-1a digest) on one [`exs::aio`] executor per shard.
+    /// Ignores `pooled` on the server side: the executors' readahead
+    /// buffers are always pool leases.
+    Aio,
+    /// Shared transport: instead of one private QP per connection,
+    /// every connection becomes a **stream** on a pooled-QP
+    /// [`MuxEndpoint`] pair per client node (`cfg.mux.qp_pool_size`
+    /// QPs each, stream ids in the WWI immediate), all hosted in one
+    /// reactor. Ignores `pooled`; not wired for `shards > 1`.
+    Mux,
+}
+
 /// One fan-in experiment configuration.
 #[derive(Clone, Debug)]
 pub struct FanInSpec {
@@ -118,28 +143,15 @@ pub struct FanInSpec {
     /// held for the whole run. Delivered bytes are identical either
     /// way; only registration traffic and CPU cost differ.
     pub pooled: bool,
-    /// Shared-transport mode: instead of one private QP per connection,
-    /// every connection becomes a **stream** on a pooled-QP
-    /// [`MuxEndpoint`] pair per client node (`cfg.mux.qp_pool_size` QPs
-    /// each, stream ids in the WWI immediate). Delivered bytes and
-    /// digests are identical to the QP-per-connection path; only the
-    /// transport resource model changes. Ignores `pooled`.
-    pub mux: bool,
-    /// Async server mode: instead of the callback [`ReactorServer`]
-    /// loop, the server runs one async task per connection on a single
-    /// [`exs::aio`] executor (`recv_some` loop folding the same FNV-1a
-    /// digest). Delivered bytes and digests are identical to the
-    /// callback path; only the consumption model changes. Ignores
-    /// `pooled` on the server side (the executor's readahead buffers
-    /// are always pool leases).
-    pub aio: bool,
+    /// How the server consumes (see [`ServerKind`]).
+    pub server: ServerKind,
     /// Reactor shards at the server (0/1 ⇒ one reactor, the classic
-    /// single-loop server). With N > 1 the server runs a
-    /// [`ReactorPool`]: each shard gets its own CQ pair, connections
+    /// single-loop server). With N > 1 each shard gets its own CQ pair
+    /// (and, for [`ServerKind::Aio`], its own executor), connections
     /// are routed once at accept by `shard_policy`, and the sim driver
     /// interleaves the shards deterministically — delivered bytes and
     /// digests are identical to the single-shard run. Not wired for
-    /// `mux` mode.
+    /// [`ServerKind::Mux`].
     pub shards: usize,
     /// Placement policy for `shards > 1`.
     pub shard_policy: ShardPolicy,
@@ -172,8 +184,7 @@ impl FanInSpec {
             prepost_recvs: 4,
             verify: VerifyLevel::None,
             pooled: false,
-            mux: false,
-            aio: false,
+            server: ServerKind::Callback,
             shards: 1,
             shard_policy: ShardPolicy::RoundRobin,
             seed: 1,
@@ -416,33 +427,60 @@ impl FanInReport {
     }
 }
 
-struct ConnState {
-    sock: StreamSocket,
-    /// Global connection index (pattern + digest identity).
+/// One outbound stream's send-slot cycle on a client node.
+struct TxStream {
+    /// Global connection index (payload pattern + digest identity; the
+    /// stream id on a mux endpoint).
     idx: usize,
-    /// Up-front registered send slots (unpooled mode; empty when
-    /// pooled).
+    /// Up-front registered send slots (empty when the node leases from
+    /// its pool).
     slots: Vec<MrInfo>,
     free: Vec<usize>,
     slot_of: HashMap<u64, usize>,
-    /// Outstanding-send cap (slot count in unpooled mode).
-    max_outstanding: usize,
     /// Live send leases by operation id (pooled mode); dropping one on
     /// completion returns the buffer to the node's pin-down cache.
     leases: HashMap<u64, MrLease>,
     sent: usize,
     acked: usize,
     pos: u64,
-    shutdown: bool,
+    closed: bool,
 }
 
-/// One client node driving several outbound connections, each with its
-/// own private CQs and service loop (the conventional per-connection
-/// pattern the server-side reactor is measured against).
+impl TxStream {
+    fn complete(&mut self, id: u64) {
+        if let Some(slot) = self.slot_of.remove(&id) {
+            self.free.push(slot);
+        }
+        // Pooled mode: the lease drops here and its buffer returns to
+        // the cache for the next kick.
+        self.leases.remove(&id);
+        self.acked += 1;
+    }
+}
+
+/// How a client node's streams reach the server.
+enum Link {
+    /// One private socket per stream (own QP, CQs and service loop —
+    /// the conventional per-connection pattern the server-side reactor
+    /// is measured against), indexed like the node's streams.
+    Sockets(Vec<StreamSocket>),
+    /// Every stream on one pooled-QP endpoint, driven by a single
+    /// `handle_wake`.
+    Mux {
+        ep: Box<MuxEndpoint>,
+        /// Stream id → index into the node's streams.
+        by_stream: HashMap<u32, usize>,
+    },
+}
+
+/// One client node driving several outbound streams.
 struct FanInClient {
-    conns: Vec<ConnState>,
+    link: Link,
+    streams: Vec<TxStream>,
     msgs: usize,
     msg_len: u64,
+    /// Outstanding-send cap per stream (the slot count when unpooled).
+    max_outstanding: usize,
     verify: VerifyLevel,
     /// This node's pin-down cache (pooled mode).
     pool: Option<MemPool>,
@@ -451,86 +489,308 @@ struct FanInClient {
 }
 
 impl FanInClient {
-    fn kick(&mut self, api: &mut NodeApi<'_>, ci: usize) {
-        let msgs = self.msgs;
+    fn new(spec: &FanInSpec, link: Link, pooled: bool) -> FanInClient {
+        FanInClient {
+            link,
+            streams: Vec::new(),
+            msgs: spec.msgs_per_conn,
+            msg_len: spec.msg_len,
+            max_outstanding: spec.outstanding_sends.max(1),
+            verify: spec.verify,
+            pool: pooled.then(|| MemPool::new(spec.cfg.pool.clone())),
+            seed: spec.seed,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Adds stream `idx`: its socket (or its id on the mux endpoint)
+    /// and, unless the node leases from a pool, its send slots.
+    fn push_stream(
+        &mut self,
+        net: &mut SimNet,
+        node: NodeId,
+        idx: usize,
+        sock: Option<StreamSocket>,
+    ) {
+        let si = self.streams.len();
+        match (&mut self.link, sock) {
+            (Link::Sockets(socks), Some(sock)) => socks.push(sock),
+            (Link::Mux { ep, by_stream }, None) => {
+                ep.open_stream(idx as u32).expect("stream id fits");
+                by_stream.insert(idx as u32, si);
+            }
+            _ => unreachable!("socket streams carry a socket, mux streams none"),
+        }
+        let slots: Vec<MrInfo> = if self.pool.is_some() {
+            Vec::new()
+        } else {
+            net.with_api(node, |api| {
+                (0..self.max_outstanding)
+                    .map(|_| api.register_mr(self.msg_len as usize, Access::NONE))
+                    .collect()
+            })
+        };
+        self.streams.push(TxStream {
+            idx,
+            free: (0..slots.len()).collect(),
+            slots,
+            slot_of: HashMap::new(),
+            leases: HashMap::new(),
+            sent: 0,
+            acked: 0,
+            pos: 0,
+            closed: false,
+        });
+    }
+
+    fn kick(&mut self, api: &mut NodeApi<'_>, si: usize) {
         let msg_len = self.msg_len;
-        let c = &mut self.conns[ci];
-        while c.sent < msgs {
-            let id = c.sent as u64;
+        let s = &mut self.streams[si];
+        while s.sent < self.msgs {
+            let id = s.sent as u64;
             let mr = match &self.pool {
                 Some(pool) => {
-                    if c.leases.len() >= c.max_outstanding {
+                    if s.leases.len() >= self.max_outstanding {
                         break;
                     }
                     let lease = pool.acquire(api, msg_len as usize, Access::NONE);
                     let info = *lease.info();
-                    c.leases.insert(id, lease);
+                    s.leases.insert(id, lease);
                     info
                 }
                 None => {
-                    let Some(slot) = c.free.pop() else {
+                    let Some(slot) = s.free.pop() else {
                         break;
                     };
-                    c.slot_of.insert(id, slot);
-                    c.slots[slot]
+                    s.slot_of.insert(id, slot);
+                    s.slots[slot]
                 }
             };
             if self.verify == VerifyLevel::Full {
                 self.scratch.clear();
                 self.scratch
-                    .extend((0..msg_len).map(|i| payload_byte(self.seed, c.idx, c.pos + i)));
-                api.write_mr(mr.key, mr.addr, &self.scratch).unwrap();
+                    .extend((0..msg_len).map(|i| payload_byte(self.seed, s.idx, s.pos + i)));
+                api.write_mr(mr.key, mr.addr, &self.scratch)
+                    .expect("stage the payload in a registered send slot");
             }
-            c.sock.exs_send(api, &mr, 0, msg_len, id);
-            c.pos += msg_len;
-            c.sent += 1;
+            match &mut self.link {
+                Link::Sockets(socks) => socks[si].exs_send(api, &mr, 0, msg_len, id),
+                Link::Mux { ep, .. } => ep
+                    .mux_send(api, s.idx as u32, &mr, 0, msg_len, id)
+                    .expect("mux send on an open stream"),
+            }
+            s.pos += msg_len;
+            s.sent += 1;
         }
-        if c.sent == msgs && c.acked == msgs && !c.shutdown {
-            c.sock.exs_shutdown(api);
-            c.shutdown = true;
+        if s.sent == self.msgs && s.acked == self.msgs && !s.closed {
+            match &mut self.link {
+                Link::Sockets(socks) => socks[si].exs_shutdown(api),
+                Link::Mux { ep, .. } => ep.close_stream(api, s.idx as u32),
+            }
+            s.closed = true;
+        }
+    }
+
+    /// Folds this node's sender-side counters (CQ gauges synced first)
+    /// into `total`.
+    fn merge_tx_stats(&mut self, net: &mut SimNet, node: NodeId, total: &mut ConnStats) {
+        match &mut self.link {
+            Link::Sockets(socks) => {
+                net.with_api(node, |api| {
+                    for sock in socks.iter_mut() {
+                        sock.sync_cq_stats(api);
+                    }
+                });
+                for sock in socks.iter() {
+                    total.merge(sock.stats());
+                }
+            }
+            Link::Mux { ep, .. } => total.merge(ep.stats()),
         }
     }
 }
 
 impl NodeApp for FanInClient {
     fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for ci in 0..self.conns.len() {
-            self.kick(api, ci);
+        for si in 0..self.streams.len() {
+            self.kick(api, si);
         }
     }
     fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        for ci in 0..self.conns.len() {
-            let c = &mut self.conns[ci];
-            c.sock.handle_wake(api);
-            for ev in c.sock.take_events() {
+        if let Link::Mux { ep, by_stream } = &mut self.link {
+            ep.handle_wake(api);
+            let mut touched = Vec::new();
+            for ev in ep.take_events() {
                 match ev {
-                    ExsEvent::SendComplete { id, .. } => {
-                        if let Some(slot) = c.slot_of.remove(&id) {
-                            c.free.push(slot);
-                        }
-                        // Pooled mode: the lease drops here and its
-                        // buffer returns to the cache for the next kick.
-                        c.leases.remove(&id);
-                        c.acked += 1;
+                    MuxEvent::SendComplete { stream, id, .. } => {
+                        let si = by_stream[&stream];
+                        self.streams[si].complete(id);
+                        touched.push(si);
                     }
-                    ExsEvent::ConnectionError => panic!("fan-in client conn {} failed", c.idx),
+                    MuxEvent::TransportError { slot } => panic!(
+                        "fan-in mux client transport slot {slot} failed: {:?}",
+                        ep.last_error()
+                    ),
+                    // The server's FIN answering ours; nothing left to do.
+                    MuxEvent::StreamClosed { .. } | MuxEvent::RecvComplete { .. } => {}
+                }
+            }
+            for si in touched {
+                self.kick(api, si);
+            }
+            return;
+        }
+        for si in 0..self.streams.len() {
+            let Link::Sockets(socks) = &mut self.link else {
+                unreachable!("mux clients returned above");
+            };
+            let sock = &mut socks[si];
+            sock.handle_wake(api);
+            for ev in sock.take_events() {
+                match ev {
+                    ExsEvent::SendComplete { id, .. } => self.streams[si].complete(id),
+                    ExsEvent::ConnectionError => {
+                        panic!("fan-in client conn {} failed", self.streams[si].idx)
+                    }
                     _ => {}
                 }
             }
-            self.kick(api, ci);
+            self.kick(api, si);
         }
     }
     fn is_done(&self) -> bool {
-        self.conns.iter().all(|c| c.shutdown)
+        self.streams.iter().all(|s| s.closed)
     }
 }
 
-/// The server: every accepted connection multiplexed through a
-/// [`ReactorPool`] (one shard ⇒ the classic single reactor over shared
-/// CQs), serviced to quiescence on each wake. The sim driver
-/// interleaves the shards in shard order, so a sharded run is exactly
-/// as deterministic as a single-loop run.
-struct ReactorServer {
+/// One server-side stream's receive state: its pre-posted receive
+/// slots (empty for an aio task, whose executor owns the readahead
+/// buffers) and the verify-and-digest fold of what it delivered.
+struct RxStream {
+    slots: Vec<MrInfo>,
+    /// Posted-but-uncompleted `(recv id, slot)` pairs, in posting order
+    /// — receives complete FIFO, so the front is always the completing
+    /// slot.
+    posted: VecDeque<(u64, usize)>,
+    /// Slot indices currently free to re-post.
+    free: Vec<usize>,
+    received: u64,
+    digest: u64,
+    eof: bool,
+}
+
+/// Every server-side stream's [`RxStream`], indexed by global
+/// connection index. The callback server, the mux server and the aio
+/// tasks all consume through it.
+struct Receiver {
+    streams: Vec<RxStream>,
+    /// Expected bytes per stream.
+    expected: u64,
+    recv_len: u32,
+    verify: VerifyLevel,
+    seed: u64,
+    next_id: u64,
+    scratch: Vec<u8>,
+}
+
+impl Receiver {
+    fn new(spec: &FanInSpec, slots: Vec<Vec<MrInfo>>) -> Receiver {
+        Receiver {
+            streams: slots
+                .into_iter()
+                .map(|slots| RxStream {
+                    free: (0..slots.len()).collect(),
+                    slots,
+                    posted: VecDeque::new(),
+                    received: 0,
+                    digest: FNV_OFFSET,
+                    eof: false,
+                })
+                .collect(),
+            expected: spec.msgs_per_conn as u64 * spec.msg_len,
+            recv_len: spec.effective_recv_len(),
+            verify: spec.verify,
+            seed: spec.seed,
+            next_id: 0,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Verifies (with [`VerifyLevel::Full`]) and digests the next
+    /// `bytes` of stream `idx`.
+    fn fold(&mut self, idx: usize, bytes: &[u8]) {
+        let st = &mut self.streams[idx];
+        if self.verify == VerifyLevel::Full {
+            for (i, &b) in bytes.iter().enumerate() {
+                let off = st.received + i as u64;
+                assert_eq!(
+                    b,
+                    payload_byte(self.seed, idx, off),
+                    "stream {idx} corrupted at offset {off}"
+                );
+            }
+        }
+        st.digest = fnv1a(st.digest, bytes);
+        st.received += bytes.len() as u64;
+    }
+
+    /// Retires stream `idx`'s completing receive `id`, folding its
+    /// `len` bytes, and frees its slot.
+    fn complete(&mut self, api: &mut NodeApi<'_>, idx: usize, id: u64, len: u32) {
+        let (pid, slot) = self.streams[idx]
+            .posted
+            .pop_front()
+            .expect("completion without a posted receive");
+        assert_eq!(pid, id, "receives must complete in posting order");
+        if len > 0 {
+            let mr = self.streams[idx].slots[slot];
+            let mut buf = std::mem::take(&mut self.scratch);
+            buf.resize(len as usize, 0);
+            api.read_mr(mr.key, mr.addr, &mut buf)
+                .expect("read a completed receive slot");
+            self.fold(idx, &buf);
+            self.scratch = buf;
+        }
+        self.streams[idx].free.push(slot);
+    }
+
+    /// Refills stream `idx` to depth through `post(mr, len, id)`: every
+    /// freed slot goes straight back out while the stream still owes
+    /// bytes, so the advert queue never drains below depth at the
+    /// sender's next decision point. Receives left over at
+    /// end-of-stream complete with zero bytes. Returns true if anything
+    /// was posted.
+    fn refill(&mut self, idx: usize, mut post: impl FnMut(&MrInfo, u32, u64)) -> bool {
+        let mut posted = false;
+        loop {
+            let st = &mut self.streams[idx];
+            if st.eof || st.received >= self.expected {
+                break;
+            }
+            let Some(slot) = st.free.pop() else {
+                break;
+            };
+            let id = self.next_id;
+            self.next_id += 1;
+            post(&st.slots[slot], self.recv_len, id);
+            st.posted.push_back((id, slot));
+            posted = true;
+        }
+        posted
+    }
+
+    fn is_done(&self) -> bool {
+        self.streams
+            .iter()
+            .all(|s| s.eof && s.received == self.expected)
+    }
+}
+
+/// The callback server: every accepted connection multiplexed through
+/// a [`ReactorPool`] (one shard ⇒ the classic single reactor over
+/// shared CQs). The sim driver interleaves the shards in shard order,
+/// so a sharded run is exactly as deterministic as a single-loop run.
+struct CallbackServer {
     pool: ReactorPool,
     /// Global connection index → pool handle (shard + local id).
     handles: Vec<ShardHandle>,
@@ -538,220 +798,361 @@ struct ReactorServer {
     /// identity is keyed globally, not per shard).
     idx_of: HashMap<ShardHandle, usize>,
     /// Reusable readiness buffer for the service loop.
-    ready: Vec<(ShardHandle, exs::Readiness)>,
-    /// Per-connection pre-posted receive slots (`prepost_recvs` buffers
-    /// each).
-    mrs: Vec<Vec<MrInfo>>,
-    /// Posted-but-uncompleted `(recv id, slot)` pairs per connection, in
-    /// posting order — receives complete FIFO, so the front is always
-    /// the completing slot.
-    posted: Vec<VecDeque<(u64, usize)>>,
-    /// Slot indices currently free to re-post, per connection.
-    free: Vec<Vec<usize>>,
-    recv_len: u32,
-    /// Expected bytes per connection.
-    expected: u64,
-    received: Vec<u64>,
-    eof: Vec<bool>,
-    digests: Vec<u64>,
-    verify: VerifyLevel,
-    seed: u64,
-    next_id: u64,
-    finished_at: Option<SimTime>,
-    scratch: Vec<u8>,
+    ready: Vec<(ShardHandle, Readiness)>,
 }
 
-impl ReactorServer {
-    /// Consumes one ready connection's events and refills its
-    /// pre-posted receive queue to full depth. Returns true if anything
-    /// was consumed or posted (progress).
-    fn handle_conn(&mut self, api: &mut NodeApi<'_>, idx: usize) -> bool {
+impl CallbackServer {
+    /// Consumes one connection's events and refills its pre-posted
+    /// receive queue. Returns true on progress.
+    fn handle(&mut self, api: &mut NodeApi<'_>, rx: &mut Receiver, idx: usize) -> bool {
         let h = self.handles[idx];
-        let events = self.pool.shard_mut(h.shard).take_events(h.conn);
+        let reactor = self.pool.shard_mut(h.shard);
+        let events = reactor.take_events(h.conn);
         let mut progressed = !events.is_empty();
         for ev in events {
             match ev {
-                ExsEvent::RecvComplete { id, len } => {
-                    let (pid, slot) = self.posted[idx]
-                        .pop_front()
-                        .expect("completion without a posted receive");
-                    assert_eq!(pid, id, "receives must complete in posting order");
-                    if len > 0 {
-                        let mr = self.mrs[idx][slot];
-                        self.scratch.resize(len as usize, 0);
-                        api.read_mr(mr.key, mr.addr, &mut self.scratch).unwrap();
-                        if self.verify == VerifyLevel::Full {
-                            for (i, &b) in self.scratch.iter().enumerate() {
-                                assert_eq!(
-                                    b,
-                                    payload_byte(self.seed, idx, self.received[idx] + i as u64),
-                                    "conn {idx} corrupted at offset {}",
-                                    self.received[idx] + i as u64
-                                );
-                            }
-                        }
-                        self.digests[idx] = fnv1a(self.digests[idx], &self.scratch);
-                        self.received[idx] += len as u64;
-                    }
-                    self.free[idx].push(slot);
-                }
-                ExsEvent::PeerClosed => self.eof[idx] = true,
+                ExsEvent::RecvComplete { id, len } => rx.complete(api, idx, id, len),
+                ExsEvent::PeerClosed => rx.streams[idx].eof = true,
                 ExsEvent::ConnectionError => panic!("fan-in server conn {idx} failed"),
                 ExsEvent::SendComplete { .. } => {}
             }
         }
-        // Refill to depth: every freed slot goes straight back out while
-        // the stream still owes bytes, so the advert queue never drains
-        // below depth at the sender's next decision point. Receives left
-        // over at end-of-stream complete with zero bytes.
-        while !self.eof[idx] && self.received[idx] < self.expected {
-            let Some(slot) = self.free[idx].pop() else {
-                break;
-            };
-            let mr = self.mrs[idx][slot];
-            let id = self.next_id;
-            self.next_id += 1;
-            self.pool.shard_mut(h.shard).conn_mut(h.conn).exs_recv(
-                api,
-                &mr,
-                0,
-                self.recv_len,
-                false,
-                id,
-            );
-            self.posted[idx].push_back((id, slot));
-            progressed = true;
+        let sock = reactor.conn_mut(h.conn);
+        progressed |= rx.refill(idx, |mr, len, id| sock.exs_recv(api, mr, 0, len, false, id));
+        progressed
+    }
+
+    /// One poll of every shard and a pass over the ready connections.
+    fn step(&mut self, api: &mut NodeApi<'_>, rx: &mut Receiver) -> bool {
+        let mut ready = std::mem::take(&mut self.ready);
+        self.pool.poll_all_into(api, &mut ready);
+        let mut progressed = false;
+        for &(h, r) in ready.iter() {
+            if r.readable || r.closed || r.error {
+                let idx = self.idx_of[&h];
+                progressed |= self.handle(api, rx, idx);
+            }
+        }
+        self.ready = ready;
+        progressed
+    }
+}
+
+/// The aio server: one async task per connection folding `recv_some`
+/// chunks, on one executor per shard under one [`SimDriver`].
+struct AioServer {
+    drv: SimDriver,
+    /// Global connection index → executor shard + local id.
+    handles: Vec<ShardHandle>,
+    placement: Placement,
+}
+
+/// The mux server: one [`MuxEndpoint`] per client node, all hosted in
+/// one [`Reactor`] over its shared CQ pair, indexed by stream id.
+struct MuxServer {
+    reactor: Reactor,
+    mux_ids: Vec<MuxId>,
+    /// Global stream indices carried by each endpoint.
+    streams_of: Vec<Vec<usize>>,
+    /// Modeled server memory at full stream fan-out.
+    footprint: u64,
+}
+
+impl MuxServer {
+    /// Consumes one endpoint's events and refills the pre-posted
+    /// receive queue of every stream it carries. Returns true on
+    /// progress.
+    fn handle(&mut self, api: &mut NodeApi<'_>, rx: &mut Receiver, mi: usize) -> bool {
+        let mux = self.mux_ids[mi];
+        let events = self.reactor.take_mux_events(mux);
+        let mut progressed = !events.is_empty();
+        let ep = self.reactor.mux_mut(mux);
+        for ev in events {
+            match ev {
+                MuxEvent::RecvComplete { stream, id, len } => {
+                    rx.complete(api, stream as usize, id, len)
+                }
+                MuxEvent::StreamClosed { stream } => {
+                    rx.streams[stream as usize].eof = true;
+                    // Close the unused send half so the stream's state
+                    // retires without disturbing its siblings.
+                    ep.close_stream(api, stream);
+                }
+                MuxEvent::TransportError { slot } => panic!(
+                    "fan-in mux server transport {mi}/{slot} failed: {:?}",
+                    ep.last_error()
+                ),
+                MuxEvent::SendComplete { .. } => {}
+            }
+        }
+        for &idx in &self.streams_of[mi] {
+            progressed |= rx.refill(idx, |mr, len, id| {
+                ep.mux_recv(api, idx as u32, mr, 0, len, false, id)
+                    .expect("mux receive on an open stream")
+            });
         }
         progressed
     }
 
-    /// Polls every shard until quiescent: no connection made progress
-    /// and no CQ/budget backlog remains on any shard. Bounded because
-    /// each iteration consumes queued completions and each connection
-    /// posts at most one receive per iteration.
+    /// One reactor poll (which services the hosted endpoints) and a
+    /// pass over every endpoint.
+    fn step(&mut self, api: &mut NodeApi<'_>, rx: &mut Receiver) -> bool {
+        let _ = self.reactor.poll(api);
+        let mut progressed = false;
+        for mi in 0..self.mux_ids.len() {
+            progressed |= self.handle(api, rx, mi);
+        }
+        progressed
+    }
+}
+
+/// How the server node consumes (see [`ServerKind`]).
+enum Consumer {
+    Callback(CallbackServer),
+    Aio(AioServer),
+    Mux(MuxServer),
+}
+
+/// The server node: one consumer, the shared receive state, and a
+/// completion-time probe, so every kind's elapsed time is comparable.
+struct FanInServer {
+    consumer: Consumer,
+    rx: Rc<RefCell<Receiver>>,
+    /// Server-side pin-down caches, for the pooled report.
+    pools: Vec<MemPool>,
+    /// Receive leases held for the whole run (the server re-posts into
+    /// the same buffers), released when the server drops.
+    _leases: Vec<MrLease>,
+    finished_at: Option<SimTime>,
+}
+
+/// The server half of a [`FanInReport`].
+struct ServerTally {
+    per_conn: Vec<ConnStats>,
+    aggregate: ConnStats,
+    reactor: ReactorStats,
+    shard_stats: Option<Vec<ShardStats>>,
+    aio: Option<(AioStats, Vec<AioStats>)>,
+    mux_footprint: Option<u64>,
+}
+
+impl FanInServer {
+    /// Polls until quiescent: no stream made progress and no CQ/budget
+    /// backlog remains. Bounded because each iteration consumes queued
+    /// completions and each stream posts at most its free slots.
     fn service(&mut self, api: &mut NodeApi<'_>) {
-        let mut ready = std::mem::take(&mut self.ready);
+        let mut rx = self.rx.borrow_mut();
         loop {
-            self.pool.poll_all_into(api, &mut ready);
-            let mut progressed = false;
-            for &(h, r) in ready.iter() {
-                if r.readable || r.closed || r.error {
-                    let idx = self.idx_of[&h];
-                    progressed |= self.handle_conn(api, idx);
-                }
-            }
-            if self.finished_at.is_none() && self.is_done() {
+            let (progressed, backlog) = match &mut self.consumer {
+                Consumer::Callback(s) => (s.step(api, &mut rx), s.pool.has_backlog()),
+                Consumer::Mux(s) => (s.step(api, &mut rx), s.reactor.has_backlog()),
+                Consumer::Aio(_) => unreachable!("aio tasks consume inside the driver"),
+            };
+            if self.finished_at.is_none() && rx.is_done() {
                 self.finished_at = Some(api.now());
             }
-            if !progressed && !self.pool.has_backlog() {
+            if !progressed && !backlog {
                 break;
             }
         }
-        self.ready = ready;
     }
-}
 
-impl NodeApp for ReactorServer {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        // Post the initial receive on every connection (none is
-        // "readable" yet, so prime directly rather than via poll).
-        for idx in 0..self.handles.len() {
-            self.handle_conn(api, idx);
+    /// Records the aio server's completion time once its executors
+    /// drain.
+    fn note_drained(&mut self, api: &mut NodeApi<'_>) {
+        if let Consumer::Aio(s) = &self.consumer {
+            if self.finished_at.is_none() && s.drv.is_done() {
+                self.finished_at = Some(api.now());
+            }
         }
     }
-    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.service(api);
-    }
-    fn is_done(&self) -> bool {
-        self.eof.iter().all(|&e| e) && self.received.iter().all(|&r| r == self.expected)
+
+    /// Syncs the shared CQs' pressure gauges into every snapshot and
+    /// collects the server-side counters, per connection in *global*
+    /// index order (mux: per endpoint) whichever shard each landed on.
+    fn tally(&mut self, net: &mut SimNet, node: NodeId) -> ServerTally {
+        match &mut self.consumer {
+            Consumer::Callback(s) => {
+                net.with_api(node, |api| {
+                    for &h in &s.handles {
+                        s.pool
+                            .shard_mut(h.shard)
+                            .conn_mut(h.conn)
+                            .sync_cq_stats(api);
+                    }
+                });
+                ServerTally {
+                    per_conn: s
+                        .handles
+                        .iter()
+                        .map(|&h| s.pool.shard(h.shard).conn(h.conn).stats().clone())
+                        .collect(),
+                    aggregate: s.pool.aggregate_conn_stats(),
+                    reactor: s.pool.reactor_stats(),
+                    shard_stats: Some(s.pool.shard_stats()),
+                    aio: None,
+                    mux_footprint: None,
+                }
+            }
+            Consumer::Aio(s) => {
+                net.with_api(node, |api| {
+                    for shard in 0..s.drv.shards() {
+                        s.drv.executor(shard).with_reactor(|r| {
+                            for conn in r.conn_ids() {
+                                r.conn_mut(conn).sync_cq_stats(api);
+                            }
+                        });
+                    }
+                });
+                let mut aggregate = ConnStats::default();
+                let mut reactor = ReactorStats::default();
+                let mut rows = Vec::with_capacity(s.drv.shards());
+                for shard in 0..s.drv.shards() {
+                    let (agg, rs) = s
+                        .drv
+                        .executor_ref(shard)
+                        .with_reactor(|r| (r.aggregate_conn_stats(), r.stats().clone()));
+                    aggregate.merge(&agg);
+                    rows.push(s.placement.row(shard, &rs));
+                    reactor.merge(&rs);
+                }
+                ServerTally {
+                    per_conn: s
+                        .handles
+                        .iter()
+                        .map(|&h| {
+                            s.drv
+                                .executor_ref(h.shard as usize)
+                                .with_reactor(|r| r.conn(h.conn).stats().clone())
+                        })
+                        .collect(),
+                    aggregate,
+                    reactor,
+                    shard_stats: Some(rows),
+                    aio: Some((s.drv.merged_stats(), s.drv.per_shard_stats())),
+                    mux_footprint: None,
+                }
+            }
+            Consumer::Mux(s) => ServerTally {
+                // One counter block per server-side endpoint (= per
+                // client node): the pool aggregates its streams, which
+                // is the point of the mode.
+                per_conn: s
+                    .mux_ids
+                    .iter()
+                    .map(|&id| s.reactor.mux(id).stats().clone())
+                    .collect(),
+                aggregate: s.reactor.aggregate_conn_stats(),
+                reactor: s.reactor.stats().clone(),
+                shard_stats: None,
+                aio: None,
+                mux_footprint: Some(s.footprint),
+            },
+        }
     }
 }
 
-/// Runs one fan-in experiment on the simulated fabric.
-///
-/// # Panics
-/// Panics on deadlock/timeout, payload corruption (with
-/// [`VerifyLevel::Full`]), or any connection error — all protocol bugs.
-pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
-    if spec.aio {
-        assert!(
-            !spec.mux,
-            "aio fan-in drives per-connection streams; mux+aio is not wired"
-        );
-        return run_fan_in_aio(spec);
+impl NodeApp for FanInServer {
+    fn on_start(&mut self, api: &mut NodeApi<'_>) {
+        // Post the initial receives (nothing is "readable" yet, so
+        // prime directly rather than via poll).
+        match &mut self.consumer {
+            Consumer::Callback(s) => {
+                let rx = &mut self.rx.borrow_mut();
+                for idx in 0..s.handles.len() {
+                    s.handle(api, rx, idx);
+                }
+            }
+            Consumer::Mux(s) => {
+                let rx = &mut self.rx.borrow_mut();
+                for mi in 0..s.mux_ids.len() {
+                    s.handle(api, rx, mi);
+                }
+            }
+            Consumer::Aio(s) => s.drv.on_start(api),
+        }
+        self.note_drained(api);
     }
-    if spec.mux {
-        assert!(
-            spec.effective_shards() == 1,
-            "sharded mux fan-in is not wired; use shards=1 with mux"
-        );
-        return run_fan_in_mux(spec);
+    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
+        match &mut self.consumer {
+            Consumer::Aio(s) => s.drv.on_wake(api),
+            _ => self.service(api),
+        }
+        self.note_drained(api);
     }
-    assert!(spec.conns >= 1, "need at least one connection");
-    let expected = spec.msgs_per_conn as u64 * spec.msg_len;
-    let recv_len = spec.effective_recv_len();
-    let prepost = spec.effective_prepost();
-    let nshards = spec.effective_shards();
+    fn on_timer(&mut self, api: &mut NodeApi<'_>, token: u64) {
+        if let Consumer::Aio(s) = &mut self.consumer {
+            s.drv.on_timer(api, token);
+        }
+        self.note_drained(api);
+    }
+    fn is_done(&self) -> bool {
+        match &self.consumer {
+            Consumer::Aio(s) => s.drv.is_done(),
+            _ => self.rx.borrow().is_done(),
+        }
+    }
+}
 
-    let mut net = SimNet::new();
-    net.set_fabric(spec.fabric.clone());
-    net.set_host_seed(
-        spec.seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(3),
-    );
-    let server_node = net.add_node(spec.profile.host.clone(), spec.profile.hca.clone());
-    let nclients = spec.client_nodes.clamp(1, spec.conns);
-    let client_nodes: Vec<NodeId> = (0..nclients)
-        .map(|_| net.add_node(spec.profile.host.clone(), spec.profile.hca.clone()))
-        .collect();
-    for (i, &c) in client_nodes.iter().enumerate() {
-        net.connect_nodes(
-            c,
-            server_node,
-            spec.profile.link.clone(),
-            spec.seed.wrapping_add(i as u64),
-        );
-    }
+/// Registers (or, with a pool, leases) one stream's pre-posted
+/// server-side receive buffers.
+fn recv_slots(
+    spec: &FanInSpec,
+    net: &mut SimNet,
+    node: NodeId,
+    pool: Option<&MemPool>,
+    leases: &mut Vec<MrLease>,
+) -> Vec<MrInfo> {
+    let len = spec.effective_recv_len() as usize;
+    (0..spec.effective_prepost())
+        .map(|_| {
+            net.with_api(node, |api| match pool {
+                Some(pool) => {
+                    let lease = pool.acquire(api, len, Access::local_remote_write());
+                    let info = *lease.info();
+                    leases.push(lease);
+                    info
+                }
+                None => api.register_mr(len, Access::local_remote_write()),
+            })
+        })
+        .collect()
+}
 
+/// Sets up the QP-per-connection kinds ([`ServerKind::Callback`] and
+/// [`ServerKind::Aio`]): one reactor per shard over its own CQ pair and
+/// one private QP per connection, placed once by the shard policy.
+fn accept_sockets(
+    spec: &FanInSpec,
+    net: &mut SimNet,
+    server_node: NodeId,
+    client_nodes: &[NodeId],
+) -> (FanInServer, Vec<FanInClient>) {
+    let callback = spec.server == ServerKind::Callback;
+    let nclients = client_nodes.len();
     // Shared CQs sized for every connection's worst case — full size
     // per shard, since a skewed policy may put most connections on one
     // shard and CQ overflow is fatal.
-    let setup_start = std::time::Instant::now();
-    let per_conn_cq = spec.cfg.sq_depth * 2 + spec.cfg.credits as usize * 2;
-    let reactors: Vec<Reactor> = (0..nshards)
+    let cq_depth = (spec.cfg.sq_depth * 2 + spec.cfg.credits as usize * 2) * spec.conns;
+    let reactors: Vec<Reactor> = (0..spec.effective_shards())
         .map(|_| {
             let (send_cq, recv_cq) = net.with_api(server_node, |api| {
-                (
-                    api.create_cq(per_conn_cq * spec.conns),
-                    api.create_cq(per_conn_cq * spec.conns),
-                )
+                (api.create_cq(cq_depth), api.create_cq(cq_depth))
             });
             Reactor::new(send_cq, recv_cq, spec.reactor)
         })
         .collect();
     let mut pool = ReactorPool::new(reactors, spec.shard_cfg());
 
-    // One pool per node in pooled mode: each client node's connections
-    // share a pin-down cache, as does the server behind the reactor.
-    let server_pool = spec.pooled.then(|| MemPool::new(spec.cfg.pool.clone()));
+    // One pin-down cache per node in pooled mode: each client node's
+    // connections share one, as does the callback server.
+    let server_pool = (callback && spec.pooled).then(|| MemPool::new(spec.cfg.pool.clone()));
     let mut clients: Vec<FanInClient> = (0..nclients)
-        .map(|_| FanInClient {
-            conns: Vec::new(),
-            msgs: spec.msgs_per_conn,
-            msg_len: spec.msg_len,
-            verify: spec.verify,
-            pool: spec.pooled.then(|| MemPool::new(spec.cfg.pool.clone())),
-            seed: spec.seed,
-            scratch: Vec::new(),
-        })
+        .map(|_| FanInClient::new(spec, Link::Sockets(Vec::new()), spec.pooled))
         .collect();
-    let mut server_mrs = Vec::with_capacity(spec.conns);
-    // Server-side receive leases: held for the whole run (the reactor
-    // re-posts into the same buffer), released together at the end.
-    let mut server_leases: Vec<MrLease> = Vec::new();
     let mut handles = Vec::with_capacity(spec.conns);
-    let mut idx_of = HashMap::with_capacity(spec.conns);
+    let mut slots = Vec::with_capacity(spec.conns);
+    let mut leases = Vec::new();
     for idx in 0..spec.conns {
         let cnode = client_nodes[idx % nclients];
         // Affinity policy keys on the client node, so one client's
@@ -759,353 +1160,31 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
         let shard = pool.pick_shard(Some(cnode.0 as u64));
         let (send_cq, recv_cq) = pool.shard_cqs(shard);
         let (csock, ssock) =
-            StreamSocket::pair_shared(&mut net, cnode, server_node, send_cq, recv_cq, &spec.cfg);
-        let handle = pool.accept_on(shard, ssock);
-        handles.push(handle);
-        idx_of.insert(handle, idx);
-        let max_outstanding = spec.outstanding_sends.max(1);
-        let slots = if spec.pooled {
-            Vec::new()
+            StreamSocket::pair_shared(net, cnode, server_node, send_cq, recv_cq, &spec.cfg);
+        handles.push(pool.accept_on(shard, ssock));
+        clients[idx % nclients].push_stream(net, cnode, idx, Some(csock));
+        slots.push(if callback {
+            recv_slots(spec, net, server_node, server_pool.as_ref(), &mut leases)
         } else {
-            net.with_api(cnode, |api| {
-                (0..max_outstanding)
-                    .map(|_| api.register_mr(spec.msg_len as usize, Access::NONE))
-                    .collect::<Vec<_>>()
-            })
-        };
-        let free = (0..slots.len()).collect();
-        clients[idx % nclients].conns.push(ConnState {
-            sock: csock,
-            idx,
-            slots,
-            free,
-            slot_of: HashMap::new(),
-            max_outstanding,
-            leases: HashMap::new(),
-            sent: 0,
-            acked: 0,
-            pos: 0,
-            shutdown: false,
-        });
-        let slots: Vec<MrInfo> = (0..prepost)
-            .map(|_| match &server_pool {
-                Some(pool) => net.with_api(server_node, |api| {
-                    let lease = pool.acquire(api, recv_len as usize, Access::local_remote_write());
-                    let info = *lease.info();
-                    server_leases.push(lease);
-                    info
-                }),
-                None => net.with_api(server_node, |api| {
-                    api.register_mr(recv_len as usize, Access::local_remote_write())
-                }),
-            })
-            .collect();
-        server_mrs.push(slots);
-    }
-    let setup_wall = setup_start.elapsed();
-
-    let mut server = ReactorServer {
-        pool,
-        handles,
-        idx_of,
-        ready: Vec::new(),
-        mrs: server_mrs,
-        posted: (0..spec.conns).map(|_| VecDeque::new()).collect(),
-        free: (0..spec.conns).map(|_| (0..prepost).collect()).collect(),
-        recv_len,
-        expected,
-        received: vec![0; spec.conns],
-        eof: vec![false; spec.conns],
-        digests: vec![FNV_OFFSET; spec.conns],
-        verify: spec.verify,
-        seed: spec.seed,
-        next_id: 0,
-        finished_at: None,
-        scratch: Vec::new(),
-    };
-
-    let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + nclients);
-    apps.push(&mut server);
-    for c in clients.iter_mut() {
-        apps.push(c);
-    }
-    let outcome = net.run(&mut apps, SimTime::ZERO + spec.time_limit);
-    assert!(
-        outcome.completed,
-        "fan-in deadlocked or timed out: {} of {} conns at EOF, {:?} received, ended {:?}",
-        server.eof.iter().filter(|&&e| e).count(),
-        spec.conns,
-        server.received.iter().sum::<u64>(),
-        outcome.end,
-    );
-
-    let end = server.finished_at.unwrap_or(outcome.end);
-    // Fold the shared CQs' pressure gauges into every snapshot before
-    // serializing (overflow here would mean the per-conn sizing above
-    // was wrong).
-    net.with_api(server_node, |api| {
-        for &h in &server.handles {
-            server
-                .pool
-                .shard_mut(h.shard)
-                .conn_mut(h.conn)
-                .sync_cq_stats(api);
-        }
-    });
-    let fabric_stats = net.fabric_stats();
-    // Per-conn snapshots in *global* index order, regardless of which
-    // shard each connection landed on — snapshots across shard counts
-    // must stay row-for-row comparable.
-    let mut per_conn: Vec<ConnStats> = server
-        .handles
-        .iter()
-        .map(|&h| server.pool.shard(h.shard).conn(h.conn).stats().clone())
-        .collect();
-    let mut aggregate = server.pool.aggregate_conn_stats();
-    if let Some(fs) = &fabric_stats {
-        // Annotate every connection with its carrying flow's telemetry
-        // (connections round-robin over client nodes; the flow is the
-        // client→server node pair).
-        for (idx, stats) in per_conn.iter_mut().enumerate() {
-            let cnode = client_nodes[idx % nclients];
-            if let Some(flow) = fs
-                .flows
-                .iter()
-                .find(|f| f.src == cnode.0 && f.dst == server_node.0)
-            {
-                stats.fabric_respeeds = flow.respeeds;
-                stats.record_fabric_flow(flow.achieved_mbps());
-            }
-        }
-        aggregate.fabric_respeeds = fs.respeeds;
-        for flow in fs.flows.iter() {
-            aggregate.record_fabric_flow(flow.achieved_mbps());
-        }
-    }
-    let reactor_stats = server.pool.reactor_stats();
-    let shard_stats = server.pool.shard_stats();
-    assert_eq!(reactor_stats.orphan_cqes, 0, "no completion went unrouted");
-    assert_eq!(
-        aggregate.bytes_received,
-        expected * spec.conns as u64,
-        "every stream fully delivered"
-    );
-
-    // Sender-side counters live in the client sockets — fold the CQ
-    // gauges in and merge them so direct/indirect accounting is
-    // auditable end to end (the server-side aggregate only ever sees
-    // the receive half).
-    let mut aggregate_tx = ConnStats::default();
-    for (i, c) in clients.iter_mut().enumerate() {
-        let cnode = client_nodes[i];
-        net.with_api(cnode, |api| {
-            for cs in c.conns.iter_mut() {
-                cs.sock.sync_cq_stats(api);
-            }
-        });
-        for cs in c.conns.iter() {
-            aggregate_tx.merge(cs.sock.stats());
-        }
-    }
-    assert_eq!(
-        aggregate_tx.bytes_sent,
-        expected * spec.conns as u64,
-        "every stream fully sent"
-    );
-
-    let pool = server_pool.map(|sp| {
-        let mut total = sp.stats();
-        for c in &clients {
-            if let Some(cp) = &c.pool {
-                total.merge(&cp.stats());
-            }
-        }
-        total
-    });
-    drop(server_leases);
-
-    FanInReport {
-        conns: spec.conns,
-        bytes: expected * spec.conns as u64,
-        elapsed: end.saturating_duration_since(SimTime::ZERO),
-        per_conn,
-        digests: server.digests,
-        aggregate,
-        aggregate_tx,
-        reactor: reactor_stats,
-        pool,
-        link_bandwidth_bps: spec.profile.link.bandwidth_bps,
-        fabric: fabric_stats,
-        setup_wall,
-        mux_footprint: None,
-        mux_baseline: None,
-        aio: None,
-        shard_stats: Some(shard_stats),
-        aio_per_shard: None,
-        events: outcome.events,
-    }
-}
-
-/// The aio-mode server node: a [`SimShardDriver`] pumping one async
-/// executor per shard (one shard ⇒ the same turn sequence as
-/// [`SimDriver`]), plus a completion-time probe ([`ReactorServer`]
-/// records `finished_at` the same way, so the two modes' elapsed times
-/// are comparable).
-struct AioFanInServer {
-    drv: SimShardDriver,
-    finished_at: Option<SimTime>,
-}
-
-impl AioFanInServer {
-    fn note(&mut self, api: &mut NodeApi<'_>) {
-        if self.finished_at.is_none() && self.drv.is_done() {
-            self.finished_at = Some(api.now());
-        }
-    }
-}
-
-impl NodeApp for AioFanInServer {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        self.drv.on_start(api);
-        self.note(api);
-    }
-    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.drv.on_wake(api);
-        self.note(api);
-    }
-    fn on_timer(&mut self, api: &mut NodeApi<'_>, token: u64) {
-        self.drv.on_timer(api, token);
-        self.note(api);
-    }
-    fn is_done(&self) -> bool {
-        self.drv.is_done()
-    }
-}
-
-/// Per-connection delivery state shared between the aio server tasks
-/// and the harness (single-threaded executor, so a plain `RefCell`).
-struct AioShared {
-    digests: Vec<u64>,
-    received: Vec<u64>,
-}
-
-/// Runs one fan-in experiment with the async server (one task per
-/// connection on a single [`exs::aio`] executor). Clients are the
-/// unchanged callback [`FanInClient`]s, so any digest difference
-/// against [`run_fan_in`] is attributable to the server's consumption
-/// model — and there must be none: FNV-1a folds chunk-by-chunk into
-/// the same value regardless of how `recv_some` slices the stream.
-///
-/// # Panics
-/// Same contract as [`run_fan_in`].
-pub fn run_fan_in_aio(spec: &FanInSpec) -> FanInReport {
-    assert!(spec.conns >= 1, "need at least one connection");
-    let expected = spec.msgs_per_conn as u64 * spec.msg_len;
-    let recv_len = spec.effective_recv_len();
-    let prepost = spec.effective_prepost();
-    let nshards = spec.effective_shards();
-
-    let mut net = SimNet::new();
-    net.set_fabric(spec.fabric.clone());
-    net.set_host_seed(
-        spec.seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(3),
-    );
-    let server_node = net.add_node(spec.profile.host.clone(), spec.profile.hca.clone());
-    let nclients = spec.client_nodes.clamp(1, spec.conns);
-    let client_nodes: Vec<NodeId> = (0..nclients)
-        .map(|_| net.add_node(spec.profile.host.clone(), spec.profile.hca.clone()))
-        .collect();
-    for (i, &c) in client_nodes.iter().enumerate() {
-        net.connect_nodes(
-            c,
-            server_node,
-            spec.profile.link.clone(),
-            spec.seed.wrapping_add(i as u64),
-        );
-    }
-
-    let setup_start = std::time::Instant::now();
-    let per_conn_cq = spec.cfg.sq_depth * 2 + spec.cfg.credits as usize * 2;
-    // One reactor (and later one executor) per shard, each over its own
-    // CQ pair — sized for the full fan-in per shard, since a skewed
-    // policy may pile every connection on one shard.
-    let mut reactors: Vec<Reactor> = (0..nshards)
-        .map(|_| {
-            let (send_cq, recv_cq) = net.with_api(server_node, |api| {
-                (
-                    api.create_cq(per_conn_cq * spec.conns),
-                    api.create_cq(per_conn_cq * spec.conns),
-                )
-            });
-            Reactor::new(send_cq, recv_cq, spec.reactor)
-        })
-        .collect();
-
-    let mut clients: Vec<FanInClient> = (0..nclients)
-        .map(|_| FanInClient {
-            conns: Vec::new(),
-            msgs: spec.msgs_per_conn,
-            msg_len: spec.msg_len,
-            verify: spec.verify,
-            pool: spec.pooled.then(|| MemPool::new(spec.cfg.pool.clone())),
-            seed: spec.seed,
-            scratch: Vec::new(),
-        })
-        .collect();
-    // Placement mirrors the callback path: the same `choose_shard`
-    // decision sequence for the same inputs, so a conn lands on the
-    // same shard in both server modes.
-    let mut conn_locs: Vec<(usize, ConnId)> = Vec::with_capacity(spec.conns);
-    let mut assigned = vec![0u64; nshards];
-    let mut steals = vec![0u64; nshards];
-    let mut rr = 0usize;
-    for idx in 0..spec.conns {
-        let cnode = client_nodes[idx % nclients];
-        let shard = {
-            let reactors = &reactors;
-            let (chosen, stole) =
-                choose_shard(spec.shard_policy, rr, nshards, Some(cnode.0 as u64), |s| {
-                    let st = reactors[s].stats();
-                    st.conns_added - st.conns_removed
-                });
-            rr = (rr + 1) % nshards;
-            assigned[chosen] += 1;
-            if stole {
-                steals[chosen] += 1;
-            }
-            chosen
-        };
-        let (send_cq, recv_cq) = (reactors[shard].send_cq(), reactors[shard].recv_cq());
-        let (csock, ssock) =
-            StreamSocket::pair_shared(&mut net, cnode, server_node, send_cq, recv_cq, &spec.cfg);
-        let conn = reactors[shard].accept(ssock);
-        conn_locs.push((shard, conn));
-        let max_outstanding = spec.outstanding_sends.max(1);
-        let slots = if spec.pooled {
             Vec::new()
-        } else {
-            net.with_api(cnode, |api| {
-                (0..max_outstanding)
-                    .map(|_| api.register_mr(spec.msg_len as usize, Access::NONE))
-                    .collect::<Vec<_>>()
-            })
-        };
-        let free = (0..slots.len()).collect();
-        clients[idx % nclients].conns.push(ConnState {
-            sock: csock,
-            idx,
-            slots,
-            free,
-            slot_of: HashMap::new(),
-            max_outstanding,
-            leases: HashMap::new(),
-            sent: 0,
-            acked: 0,
-            pos: 0,
-            shutdown: false,
         });
+    }
+    let rx = Rc::new(RefCell::new(Receiver::new(spec, slots)));
+
+    if callback {
+        let server = FanInServer {
+            consumer: Consumer::Callback(CallbackServer {
+                pool,
+                idx_of: handles.iter().enumerate().map(|(i, &h)| (h, i)).collect(),
+                handles,
+                ready: Vec::new(),
+            }),
+            rx,
+            pools: server_pool.into_iter().collect(),
+            _leases: leases,
+            finished_at: None,
+        };
+        return (server, clients);
     }
 
     // Each shard's executor pool carries its connections' readahead
@@ -1117,458 +1196,149 @@ pub fn run_fan_in_aio(spec: &FanInSpec) -> FanInReport {
     // Without this, conns × prepost pin-down misses (~35 µs each,
     // serialized on the server core at time zero) masquerade as an 8×
     // async slowdown.
+    let (reactors, placement) = pool.into_parts();
+    let recv_len = spec.effective_recv_len();
+    let prepost = spec.effective_prepost();
     let class = (recv_len as u64).next_power_of_two().max(4096);
-    let mut server_pools = Vec::with_capacity(nshards);
-    let mut executors = Vec::with_capacity(nshards);
-    for (shard, reactor) in reactors.into_iter().enumerate() {
+    let mut pools = Vec::with_capacity(reactors.len());
+    let mut executors = Vec::with_capacity(reactors.len());
+    for (reactor, &assigned) in reactors.into_iter().zip(placement.assigned()) {
         let pool = MemPool::new(MemPoolConfig {
-            pinned_budget: (assigned[shard] * prepost as u64 * class)
-                .max(spec.cfg.pool.pinned_budget),
+            pinned_budget: (assigned * prepost as u64 * class).max(spec.cfg.pool.pinned_budget),
             ..spec.cfg.pool.clone()
         });
         net.with_api(server_node, |api| {
             pool.prewarm(
                 api,
-                assigned[shard] as usize * prepost,
+                assigned as usize * prepost,
                 recv_len as usize,
                 Access::local_remote_write(),
             );
         });
         executors.push(Executor::with_pool(reactor, pool.clone()));
-        server_pools.push(pool);
+        pools.push(pool);
     }
-    let shared = Rc::new(RefCell::new(AioShared {
-        digests: vec![FNV_OFFSET; spec.conns],
-        received: vec![0; spec.conns],
-    }));
-    for (idx, &(shard, conn)) in conn_locs.iter().enumerate() {
-        let handle = executors[shard].handle();
-        let stream = handle.stream_with(conn, recv_len, prepost);
-        let shared = Rc::clone(&shared);
-        let verify = spec.verify;
-        let seed = spec.seed;
-        let chunk = recv_len as usize;
+    // FNV-1a folds chunk-by-chunk into the same value however
+    // `recv_some` slices the stream, so digests match the callback
+    // server's.
+    for (idx, h) in handles.iter().enumerate() {
+        let handle = executors[h.shard as usize].handle();
+        let stream = handle.stream_with(h.conn, recv_len, prepost);
+        let rx = Rc::clone(&rx);
         handle.spawn(async move {
             loop {
-                match stream.recv_some(chunk).await {
-                    Ok(bytes) => {
-                        let mut s = shared.borrow_mut();
-                        if verify == VerifyLevel::Full {
-                            for (i, &b) in bytes.iter().enumerate() {
-                                assert_eq!(
-                                    b,
-                                    payload_byte(seed, idx, s.received[idx] + i as u64),
-                                    "conn {idx} corrupted at offset {}",
-                                    s.received[idx] + i as u64
-                                );
-                            }
-                        }
-                        s.digests[idx] = fnv1a(s.digests[idx], &bytes);
-                        s.received[idx] += bytes.len() as u64;
-                    }
+                match stream.recv_some(recv_len as usize).await {
+                    Ok(bytes) => rx.borrow_mut().fold(idx, &bytes),
                     Err(ExsError::Eof) => break,
                     Err(e) => panic!("aio fan-in conn {idx} failed: {e}"),
                 }
             }
+            rx.borrow_mut().streams[idx].eof = true;
         });
     }
-    let setup_wall = setup_start.elapsed();
-
-    let mut server = AioFanInServer {
-        drv: SimShardDriver::new(executors),
+    let server = FanInServer {
+        consumer: Consumer::Aio(AioServer {
+            drv: SimDriver::new(executors),
+            handles,
+            placement,
+        }),
+        rx,
+        pools,
+        _leases: leases,
         finished_at: None,
     };
-    let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + nclients);
-    apps.push(&mut server);
-    for c in clients.iter_mut() {
-        apps.push(c);
-    }
-    let outcome = net.run(&mut apps, SimTime::ZERO + spec.time_limit);
-    {
-        let s = shared.borrow();
-        assert!(
-            outcome.completed,
-            "aio fan-in deadlocked or timed out: {} of {} conns done, {:?} received, ended {:?}",
-            s.received.iter().filter(|&&r| r == expected).count(),
-            spec.conns,
-            s.received.iter().sum::<u64>(),
-            outcome.end,
-        );
-        for (idx, &r) in s.received.iter().enumerate() {
-            assert_eq!(r, expected, "conn {idx} delivered short");
-        }
-    }
+    (server, clients)
+}
 
-    let end = server.finished_at.unwrap_or(outcome.end);
-    net.with_api(server_node, |api| {
-        for shard in 0..nshards {
-            server.drv.executor(shard).with_reactor(|r| {
-                for conn in r.conn_ids() {
-                    r.conn_mut(conn).sync_cq_stats(api);
-                }
-            });
-        }
+/// Sets up [`ServerKind::Mux`]: connection `idx` becomes stream `idx`
+/// on the endpoint pair of client node `idx % client_nodes`, every
+/// server-side endpoint hosted in one reactor over one CQ pair.
+fn accept_mux(
+    spec: &FanInSpec,
+    net: &mut SimNet,
+    server_node: NodeId,
+    client_nodes: &[NodeId],
+) -> (FanInServer, Vec<FanInClient>) {
+    let nclients = client_nodes.len();
+    // The reactor's CQ pair is shared by every server-side endpoint's
+    // whole pool; size it for all of them at once.
+    let cq_depth = nclients * MuxEndpoint::shared_cq_depth(&spec.cfg);
+    let (send_cq, recv_cq) = net.with_api(server_node, |api| {
+        (api.create_cq(cq_depth), api.create_cq(cq_depth))
     });
-    let fabric_stats = net.fabric_stats();
-    // Per-conn snapshots in *global* index order (each conn id is only
-    // shard-local), merged protocol and event-loop counters across
-    // shards, and the per-shard telemetry rows.
-    let mut per_conn: Vec<ConnStats> = conn_locs
+    let mut reactor = Reactor::new(send_cq, recv_cq, spec.reactor);
+    let mut clients: Vec<FanInClient> = client_nodes
         .iter()
-        .map(|&(shard, conn)| {
-            server
-                .drv
-                .executor_ref(shard)
-                .with_reactor(|r| r.conn(conn).stats().clone())
+        .map(|&cnode| {
+            let link = Link::Mux {
+                ep: Box::new(MuxEndpoint::new(cnode, &spec.cfg)),
+                by_stream: HashMap::new(),
+            };
+            FanInClient::new(spec, link, false)
         })
         .collect();
-    let mut aggregate = ConnStats::default();
-    let mut reactor_stats = ReactorStats::default();
-    let mut shard_stats = Vec::with_capacity(nshards);
-    for shard in 0..nshards {
-        let (agg, rs) = server
-            .drv
-            .executor_ref(shard)
-            .with_reactor(|r| (r.aggregate_conn_stats(), r.stats().clone()));
-        aggregate.merge(&agg);
-        shard_stats.push(ShardStats {
-            shard_id: shard as u32,
-            conns: rs.conns_added - rs.conns_removed,
-            assigned: assigned[shard],
-            steals: steals[shard],
-            commands: 0,
-            polls: rs.polls,
-            cqes_dispatched: rs.cqes_dispatched,
-            busy_ns: 0,
-            wall_ns: 0,
-        });
-        reactor_stats.merge(&rs);
-    }
-    if let Some(fs) = &fabric_stats {
-        for (idx, stats) in per_conn.iter_mut().enumerate() {
-            let cnode = client_nodes[idx % nclients];
-            if let Some(flow) = fs
-                .flows
-                .iter()
-                .find(|f| f.src == cnode.0 && f.dst == server_node.0)
-            {
-                stats.fabric_respeeds = flow.respeeds;
-                stats.record_fabric_flow(flow.achieved_mbps());
-            }
-        }
-        aggregate.fabric_respeeds = fs.respeeds;
-        for flow in fs.flows.iter() {
-            aggregate.record_fabric_flow(flow.achieved_mbps());
-        }
-    }
-    assert_eq!(reactor_stats.orphan_cqes, 0, "no completion went unrouted");
-    assert_eq!(
-        aggregate.bytes_received,
-        expected * spec.conns as u64,
-        "every stream fully delivered"
-    );
-    let aio_stats = server.drv.merged_stats();
-    let aio_per_shard = server.drv.per_shard_stats();
-    assert_eq!(
-        aio_stats.tasks_completed, spec.conns as u64,
-        "every connection task ran to completion"
-    );
+    let mut server_eps: Vec<MuxEndpoint> = (0..nclients)
+        .map(|_| {
+            let mut ep = MuxEndpoint::new(server_node, &spec.cfg);
+            ep.set_cqs(send_cq, recv_cq);
+            ep
+        })
+        .collect();
 
-    let mut aggregate_tx = ConnStats::default();
-    for (i, c) in clients.iter_mut().enumerate() {
-        let cnode = client_nodes[i];
-        net.with_api(cnode, |api| {
-            for cs in c.conns.iter_mut() {
-                cs.sock.sync_cq_stats(api);
-            }
-        });
-        for cs in c.conns.iter() {
-            aggregate_tx.merge(cs.sock.stats());
-        }
+    let mut slots = Vec::with_capacity(spec.conns);
+    let mut streams_of: Vec<Vec<usize>> = vec![Vec::new(); nclients];
+    for idx in 0..spec.conns {
+        let ci = idx % nclients;
+        server_eps[ci]
+            .open_stream(idx as u32)
+            .expect("stream id fits");
+        streams_of[ci].push(idx);
+        clients[ci].push_stream(net, client_nodes[ci], idx, None);
+        slots.push(recv_slots(spec, net, server_node, None, &mut Vec::new()));
     }
-    assert_eq!(
-        aggregate_tx.bytes_sent,
-        expected * spec.conns as u64,
-        "every stream fully sent"
-    );
-
-    let pool = spec.pooled.then(|| {
-        let mut total = PoolStats::default();
-        for sp in &server_pools {
-            total.merge(&sp.stats());
-        }
-        for c in &clients {
-            if let Some(cp) = &c.pool {
-                total.merge(&cp.stats());
-            }
-        }
-        total
-    });
-
-    let shared = Rc::try_unwrap(shared)
-        .ok()
-        .expect("all tasks completed, so the harness holds the last ref")
-        .into_inner();
-    FanInReport {
-        conns: spec.conns,
-        bytes: expected * spec.conns as u64,
-        elapsed: end.saturating_duration_since(SimTime::ZERO),
-        per_conn,
-        digests: shared.digests,
-        aggregate,
-        aggregate_tx,
-        reactor: reactor_stats,
-        pool,
-        link_bandwidth_bps: spec.profile.link.bandwidth_bps,
-        fabric: fabric_stats,
-        setup_wall,
-        mux_footprint: None,
-        mux_baseline: None,
-        aio: Some(aio_stats),
-        shard_stats: Some(shard_stats),
-        aio_per_shard: Some(aio_per_shard),
-        events: outcome.events,
+    let mut mux_ids = Vec::with_capacity(nclients);
+    let mut footprint = 0;
+    for (c, mut sep) in clients.iter_mut().zip(server_eps) {
+        let Link::Mux { ep, .. } = &mut c.link else {
+            unreachable!("mux clients ride endpoints");
+        };
+        connect_mux_pair(net, ep, &mut sep);
+        // Capture the memory model at full fan-out: every stream open,
+        // every pool transport up (streams retire as they close).
+        footprint += sep.memory_footprint();
+        mux_ids.push(reactor.accept_mux(sep));
     }
+    let server = FanInServer {
+        consumer: Consumer::Mux(MuxServer {
+            reactor,
+            mux_ids,
+            streams_of,
+            footprint,
+        }),
+        rx: Rc::new(RefCell::new(Receiver::new(spec, slots))),
+        pools: Vec::new(),
+        _leases: Vec::new(),
+        finished_at: None,
+    };
+    (server, clients)
 }
 
-/// One stream of a mux-mode client: the same send-slot cycle as
-/// [`ConnState`], minus the private socket — data rides the node's
-/// shared [`MuxEndpoint`].
-struct MuxConnState {
-    /// Stream id on the endpoint == global connection index.
-    idx: usize,
-    slots: Vec<MrInfo>,
-    free: Vec<usize>,
-    slot_of: HashMap<u64, usize>,
-    sent: usize,
-    acked: usize,
-    pos: u64,
-    closed: bool,
-}
-
-/// One client node in mux mode: every outbound connection is a stream
-/// on one pooled-QP endpoint, so the node drives a single `handle_wake`
-/// instead of a service loop per connection.
-struct MuxFanInClient {
-    ep: MuxEndpoint,
-    conns: Vec<MuxConnState>,
-    /// Stream id → index into `conns`.
-    by_stream: HashMap<u32, usize>,
-    msgs: usize,
-    msg_len: u64,
-    verify: VerifyLevel,
-    seed: u64,
-    scratch: Vec<u8>,
-}
-
-impl MuxFanInClient {
-    fn kick(&mut self, api: &mut NodeApi<'_>, ci: usize) {
-        let msgs = self.msgs;
-        let msg_len = self.msg_len;
-        let c = &mut self.conns[ci];
-        while c.sent < msgs {
-            let Some(slot) = c.free.pop() else {
-                break;
-            };
-            let id = c.sent as u64;
-            c.slot_of.insert(id, slot);
-            let mr = c.slots[slot];
-            if self.verify == VerifyLevel::Full {
-                self.scratch.clear();
-                self.scratch
-                    .extend((0..msg_len).map(|i| payload_byte(self.seed, c.idx, c.pos + i)));
-                api.write_mr(mr.key, mr.addr, &self.scratch).unwrap();
-            }
-            self.ep
-                .mux_send(api, c.idx as u32, &mr, 0, msg_len, id)
-                .expect("mux send on an open stream");
-            c.pos += msg_len;
-            c.sent += 1;
-        }
-        if c.sent == msgs && c.acked == msgs && !c.closed {
-            self.ep.close_stream(api, c.idx as u32);
-            c.closed = true;
-        }
-    }
-}
-
-impl NodeApp for MuxFanInClient {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for ci in 0..self.conns.len() {
-            self.kick(api, ci);
-        }
-    }
-    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.ep.handle_wake(api);
-        let mut touched = Vec::new();
-        for ev in self.ep.take_events() {
-            match ev {
-                MuxEvent::SendComplete { stream, id, .. } => {
-                    let ci = self.by_stream[&stream];
-                    let c = &mut self.conns[ci];
-                    if let Some(slot) = c.slot_of.remove(&id) {
-                        c.free.push(slot);
-                    }
-                    c.acked += 1;
-                    touched.push(ci);
-                }
-                MuxEvent::TransportError { slot } => panic!(
-                    "fan-in mux client transport slot {slot} failed: {:?}",
-                    self.ep.last_error()
-                ),
-                // The server's FIN answering ours; nothing left to do.
-                MuxEvent::StreamClosed { .. } | MuxEvent::RecvComplete { .. } => {}
-            }
-        }
-        for ci in touched {
-            self.kick(api, ci);
-        }
-    }
-    fn is_done(&self) -> bool {
-        self.conns.iter().all(|c| c.closed)
-    }
-}
-
-/// The mux-mode server: one [`MuxEndpoint`] per client node, all hosted
-/// in the one [`Reactor`] over its shared CQ pair, with the same
-/// pre-posted receive cycle and digest fold as [`ReactorServer`] —
-/// indexed by stream id instead of connection id.
-struct MuxReactorServer {
-    reactor: Reactor,
-    mux_ids: Vec<MuxId>,
-    /// Global stream indices carried by each endpoint.
-    streams_of: Vec<Vec<usize>>,
-    mrs: Vec<Vec<MrInfo>>,
-    posted: Vec<VecDeque<(u64, usize)>>,
-    free: Vec<Vec<usize>>,
-    recv_len: u32,
-    expected: u64,
-    received: Vec<u64>,
-    eof: Vec<bool>,
-    digests: Vec<u64>,
-    verify: VerifyLevel,
-    seed: u64,
-    next_id: u64,
-    finished_at: Option<SimTime>,
-    scratch: Vec<u8>,
-}
-
-impl MuxReactorServer {
-    /// Consumes one endpoint's events and refills the pre-posted
-    /// receive queue of every stream it carries. Returns true on any
-    /// progress.
-    fn handle_mux(&mut self, api: &mut NodeApi<'_>, mi: usize) -> bool {
-        let mux = self.mux_ids[mi];
-        let events = self.reactor.take_mux_events(mux);
-        let mut progressed = !events.is_empty();
-        for ev in events {
-            match ev {
-                MuxEvent::RecvComplete { stream, id, len } => {
-                    let idx = stream as usize;
-                    let (pid, slot) = self.posted[idx]
-                        .pop_front()
-                        .expect("completion without a posted receive");
-                    assert_eq!(pid, id, "receives must complete in posting order");
-                    if len > 0 {
-                        let mr = self.mrs[idx][slot];
-                        self.scratch.resize(len as usize, 0);
-                        api.read_mr(mr.key, mr.addr, &mut self.scratch).unwrap();
-                        if self.verify == VerifyLevel::Full {
-                            for (i, &b) in self.scratch.iter().enumerate() {
-                                assert_eq!(
-                                    b,
-                                    payload_byte(self.seed, idx, self.received[idx] + i as u64),
-                                    "stream {idx} corrupted at offset {}",
-                                    self.received[idx] + i as u64
-                                );
-                            }
-                        }
-                        self.digests[idx] = fnv1a(self.digests[idx], &self.scratch);
-                        self.received[idx] += len as u64;
-                    }
-                    self.free[idx].push(slot);
-                }
-                MuxEvent::StreamClosed { stream } => {
-                    self.eof[stream as usize] = true;
-                    // Close the unused send half so the stream's state
-                    // retires without disturbing its siblings.
-                    self.reactor.mux_mut(mux).close_stream(api, stream);
-                }
-                MuxEvent::TransportError { slot } => panic!(
-                    "fan-in mux server transport {mi}/{slot} failed: {:?}",
-                    self.reactor.mux(mux).last_error()
-                ),
-                MuxEvent::SendComplete { .. } => {}
-            }
-        }
-        for si in 0..self.streams_of[mi].len() {
-            let idx = self.streams_of[mi][si];
-            while !self.eof[idx] && self.received[idx] < self.expected {
-                let Some(slot) = self.free[idx].pop() else {
-                    break;
-                };
-                let mr = self.mrs[idx][slot];
-                let id = self.next_id;
-                self.next_id += 1;
-                self.reactor
-                    .mux_mut(mux)
-                    .mux_recv(api, idx as u32, &mr, 0, self.recv_len, false, id)
-                    .expect("mux receive on an open stream");
-                self.posted[idx].push_back((id, slot));
-                progressed = true;
-            }
-        }
-        progressed
-    }
-
-    /// Polls the reactor (which services the hosted endpoints) until no
-    /// endpoint produces events or postings and no backlog remains.
-    fn service(&mut self, api: &mut NodeApi<'_>) {
-        loop {
-            let _ = self.reactor.poll(api);
-            let mut progressed = false;
-            for mi in 0..self.mux_ids.len() {
-                progressed |= self.handle_mux(api, mi);
-            }
-            if self.finished_at.is_none() && self.is_done() {
-                self.finished_at = Some(api.now());
-            }
-            if !progressed && !self.reactor.has_backlog() {
-                break;
-            }
-        }
-    }
-}
-
-impl NodeApp for MuxReactorServer {
-    fn on_start(&mut self, api: &mut NodeApi<'_>) {
-        for mi in 0..self.mux_ids.len() {
-            self.handle_mux(api, mi);
-        }
-    }
-    fn on_wake(&mut self, api: &mut NodeApi<'_>) {
-        self.service(api);
-    }
-    fn is_done(&self) -> bool {
-        self.eof.iter().all(|&e| e) && self.received.iter().all(|&r| r == self.expected)
-    }
-}
-
-/// Runs one fan-in experiment with connections multiplexed as streams
-/// over pooled-QP shared transports ([`FanInSpec::mux`]).
-///
-/// Connection `idx` becomes stream `idx` on the endpoint pair of client
-/// node `idx % client_nodes`; delivered bytes and digests are
-/// comparable one-to-one with [`run_fan_in`]'s QP-per-connection path.
+/// Runs one fan-in experiment on the simulated fabric, with the server
+/// kind `spec.server` selects. Any digest difference between kinds is
+/// attributable to the server — and there must be none.
 ///
 /// # Panics
 /// Panics on deadlock/timeout, payload corruption (with
-/// [`VerifyLevel::Full`]), or any transport failure.
-pub fn run_fan_in_mux(spec: &FanInSpec) -> FanInReport {
+/// [`VerifyLevel::Full`]), any connection or transport error — all
+/// protocol bugs — and on a fair-share run whose aggregate ingress
+/// exceeds the bottleneck link (offered load above 1.01).
+pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     assert!(spec.conns >= 1, "need at least one connection");
+    assert!(
+        spec.server != ServerKind::Mux || spec.effective_shards() == 1,
+        "sharded mux fan-in is not wired; use shards=1 with mux"
+    );
     let expected = spec.msgs_per_conn as u64 * spec.msg_len;
-    let recv_len = spec.effective_recv_len();
-    let prepost = spec.effective_prepost();
 
     let mut net = SimNet::new();
     net.set_fabric(spec.fabric.clone());
@@ -1592,102 +1362,13 @@ pub fn run_fan_in_mux(spec: &FanInSpec) -> FanInReport {
     }
 
     let setup_start = std::time::Instant::now();
-    // The reactor's CQ pair is shared by every server-side endpoint's
-    // whole pool; size it for all of them at once.
-    let cq_depth = nclients * MuxEndpoint::shared_cq_depth(&spec.cfg);
-    let (send_cq, recv_cq) = net.with_api(server_node, |api| {
-        (api.create_cq(cq_depth), api.create_cq(cq_depth))
-    });
-    let mut reactor = Reactor::new(send_cq, recv_cq, spec.reactor);
-
-    let mut clients: Vec<MuxFanInClient> = client_nodes
-        .iter()
-        .map(|&cnode| MuxFanInClient {
-            ep: MuxEndpoint::new(cnode, &spec.cfg),
-            conns: Vec::new(),
-            by_stream: HashMap::new(),
-            msgs: spec.msgs_per_conn,
-            msg_len: spec.msg_len,
-            verify: spec.verify,
-            seed: spec.seed,
-            scratch: Vec::new(),
-        })
-        .collect();
-    let mut server_eps: Vec<MuxEndpoint> = (0..nclients)
-        .map(|_| {
-            let mut ep = MuxEndpoint::new(server_node, &spec.cfg);
-            ep.set_cqs(send_cq, recv_cq);
-            ep
-        })
-        .collect();
-
-    let max_outstanding = spec.outstanding_sends.max(1);
-    let mut server_mrs: Vec<Vec<MrInfo>> = Vec::with_capacity(spec.conns);
-    let mut streams_of: Vec<Vec<usize>> = vec![Vec::new(); nclients];
-    for idx in 0..spec.conns {
-        let ci = idx % nclients;
-        clients[ci]
-            .ep
-            .open_stream(idx as u32)
-            .expect("stream id fits");
-        server_eps[ci]
-            .open_stream(idx as u32)
-            .expect("stream id fits");
-        streams_of[ci].push(idx);
-        let slots: Vec<MrInfo> = net.with_api(client_nodes[ci], |api| {
-            (0..max_outstanding)
-                .map(|_| api.register_mr(spec.msg_len as usize, Access::NONE))
-                .collect()
-        });
-        let free = (0..slots.len()).collect();
-        let ci_conns = clients[ci].conns.len();
-        clients[ci].by_stream.insert(idx as u32, ci_conns);
-        clients[ci].conns.push(MuxConnState {
-            idx,
-            slots,
-            free,
-            slot_of: HashMap::new(),
-            sent: 0,
-            acked: 0,
-            pos: 0,
-            closed: false,
-        });
-        server_mrs.push(net.with_api(server_node, |api| {
-            (0..prepost)
-                .map(|_| api.register_mr(recv_len as usize, Access::local_remote_write()))
-                .collect()
-        }));
-    }
-    let mut mux_ids = Vec::with_capacity(nclients);
-    let mut mux_footprint = 0;
-    for (c, mut sep) in clients.iter_mut().zip(server_eps.drain(..)) {
-        connect_mux_pair(&mut net, &mut c.ep, &mut sep);
-        // Capture the memory model at full fan-out: every stream open,
-        // every pool transport up (streams retire as they close).
-        mux_footprint += sep.memory_footprint();
-        mux_ids.push(reactor.accept_mux(sep));
-    }
-    let setup_wall = setup_start.elapsed();
-    let mux_baseline = MuxEndpoint::baseline_footprint(&spec.cfg, spec.conns as u64);
-
-    let mut server = MuxReactorServer {
-        reactor,
-        mux_ids,
-        streams_of,
-        mrs: server_mrs,
-        posted: (0..spec.conns).map(|_| VecDeque::new()).collect(),
-        free: (0..spec.conns).map(|_| (0..prepost).collect()).collect(),
-        recv_len,
-        expected,
-        received: vec![0; spec.conns],
-        eof: vec![false; spec.conns],
-        digests: vec![FNV_OFFSET; spec.conns],
-        verify: spec.verify,
-        seed: spec.seed,
-        next_id: 0,
-        finished_at: None,
-        scratch: Vec::new(),
+    let (mut server, mut clients) = match spec.server {
+        ServerKind::Mux => accept_mux(spec, &mut net, server_node, &client_nodes),
+        ServerKind::Callback | ServerKind::Aio => {
+            accept_sockets(spec, &mut net, server_node, &client_nodes)
+        }
     };
+    let setup_wall = setup_start.elapsed();
 
     let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + nclients);
     apps.push(&mut server);
@@ -1695,40 +1376,49 @@ pub fn run_fan_in_mux(spec: &FanInSpec) -> FanInReport {
         apps.push(c);
     }
     let outcome = net.run(&mut apps, SimTime::ZERO + spec.time_limit);
-    if !outcome.completed {
-        let mut dump = String::new();
-        for (mi, &id) in server.mux_ids.iter().enumerate() {
-            dump.push_str(&format!(
-                "server ep {mi}:\n{}",
-                server.reactor.mux(id).debug_summary()
-            ));
+    {
+        let rx = server.rx.borrow();
+        if !outcome.completed {
+            let mut dump = String::new();
+            if let Consumer::Mux(s) = &server.consumer {
+                for (mi, &id) in s.mux_ids.iter().enumerate() {
+                    dump.push_str(&format!(
+                        "server ep {mi}:\n{}",
+                        s.reactor.mux(id).debug_summary()
+                    ));
+                }
+            }
+            for (ci, c) in clients.iter().enumerate() {
+                if let Link::Mux { ep, .. } = &c.link {
+                    dump.push_str(&format!("client ep {ci}:\n{}", ep.debug_summary()));
+                }
+            }
+            panic!(
+                "{:?} fan-in deadlocked or timed out: {} of {} streams at EOF, {} bytes \
+                 received, ended {:?}\n{dump}",
+                spec.server,
+                rx.streams.iter().filter(|s| s.eof).count(),
+                spec.conns,
+                rx.streams.iter().map(|s| s.received).sum::<u64>(),
+                outcome.end,
+            );
         }
-        for (ci, c) in clients.iter().enumerate() {
-            dump.push_str(&format!("client ep {ci}:\n{}", c.ep.debug_summary()));
+        for (idx, s) in rx.streams.iter().enumerate() {
+            assert_eq!(s.received, expected, "stream {idx} delivered short");
         }
-        panic!(
-            "mux fan-in deadlocked or timed out: {} of {} streams at EOF, {:?} received, \
-             ended {:?}\n{dump}",
-            server.eof.iter().filter(|&&e| e).count(),
-            spec.conns,
-            server.received.iter().sum::<u64>(),
-            outcome.end,
-        );
     }
 
     let end = server.finished_at.unwrap_or(outcome.end);
+    let tally = server.tally(&mut net, server_node);
     let fabric_stats = net.fabric_stats();
-    // One counter block per server-side endpoint (= per client node):
-    // the pool aggregates its streams, which is the point of the mode.
-    let mut per_conn: Vec<ConnStats> = server
-        .mux_ids
-        .iter()
-        .map(|&id| server.reactor.mux(id).stats().clone())
-        .collect();
-    let mut aggregate = server.reactor.aggregate_conn_stats();
+    let mut per_conn = tally.per_conn;
+    let mut aggregate = tally.aggregate;
     if let Some(fs) = &fabric_stats {
-        for (ci, stats) in per_conn.iter_mut().enumerate() {
-            let cnode = client_nodes[ci];
+        // Annotate every row with its carrying flow's telemetry (rows
+        // round-robin over client nodes; the flow is the client→server
+        // node pair).
+        for (row, stats) in per_conn.iter_mut().enumerate() {
+            let cnode = client_nodes[row % nclients];
             if let Some(flow) = fs
                 .flows
                 .iter()
@@ -1743,44 +1433,77 @@ pub fn run_fan_in_mux(spec: &FanInSpec) -> FanInReport {
             aggregate.record_fabric_flow(flow.achieved_mbps());
         }
     }
-    let reactor_stats = server.reactor.stats().clone();
-    assert_eq!(reactor_stats.orphan_cqes, 0, "no completion went unrouted");
+    let total = expected * spec.conns as u64;
+    assert_eq!(tally.reactor.orphan_cqes, 0, "no completion went unrouted");
     assert_eq!(
-        aggregate.bytes_received,
-        expected * spec.conns as u64,
+        aggregate.bytes_received, total,
         "every stream fully delivered"
     );
-
-    let mut aggregate_tx = ConnStats::default();
-    for c in clients.iter() {
-        aggregate_tx.merge(c.ep.stats());
+    if let Some((aio, _)) = &tally.aio {
+        assert_eq!(
+            aio.tasks_completed, spec.conns as u64,
+            "every connection task ran to completion"
+        );
     }
-    assert_eq!(
-        aggregate_tx.bytes_sent,
-        expected * spec.conns as u64,
-        "every stream fully sent"
-    );
 
-    FanInReport {
+    // Sender-side counters live at the clients — merge them so
+    // direct/indirect accounting is auditable end to end (the
+    // server-side aggregate only ever sees the receive half).
+    let mut aggregate_tx = ConnStats::default();
+    for (c, &cnode) in clients.iter_mut().zip(&client_nodes) {
+        c.merge_tx_stats(&mut net, cnode, &mut aggregate_tx);
+    }
+    assert_eq!(aggregate_tx.bytes_sent, total, "every stream fully sent");
+
+    let pool = (spec.pooled && spec.server != ServerKind::Mux).then(|| {
+        let mut total = PoolStats::default();
+        let client_pools = clients.iter().filter_map(|c| c.pool.as_ref());
+        for p in server.pools.iter().chain(client_pools) {
+            total.merge(&p.stats());
+        }
+        total
+    });
+    let (aio, aio_per_shard) = tally.aio.unzip();
+
+    let report = FanInReport {
         conns: spec.conns,
-        bytes: expected * spec.conns as u64,
+        bytes: total,
         elapsed: end.saturating_duration_since(SimTime::ZERO),
         per_conn,
-        digests: server.digests,
+        digests: server
+            .rx
+            .borrow()
+            .streams
+            .iter()
+            .map(|s| s.digest)
+            .collect(),
         aggregate,
         aggregate_tx,
-        reactor: reactor_stats,
-        pool: None,
+        reactor: tally.reactor,
+        pool,
         link_bandwidth_bps: spec.profile.link.bandwidth_bps,
         fabric: fabric_stats,
         setup_wall,
-        mux_footprint: Some(mux_footprint),
-        mux_baseline: Some(mux_baseline),
-        aio: None,
-        shard_stats: None,
-        aio_per_shard: None,
+        mux_footprint: tally.mux_footprint,
+        mux_baseline: tally
+            .mux_footprint
+            .map(|_| MuxEndpoint::baseline_footprint(&spec.cfg, spec.conns as u64)),
+        aio,
+        shard_stats: tally.shard_stats,
+        aio_per_shard,
         events: outcome.events,
+    };
+    // The fair-share fabric caps aggregate ingress at the bottleneck;
+    // delivering more than it can carry means the model leaked
+    // capacity. FIFO links are private per pair and may exceed it.
+    if spec.fabric.is_fair_share() {
+        assert!(
+            report.offered_load_ratio() <= 1.01,
+            "fair-share fan-in exceeded the bottleneck: offered load {:.4}",
+            report.offered_load_ratio()
+        );
     }
+    report
 }
 
 #[cfg(test)]
@@ -1828,7 +1551,7 @@ mod tests {
             ..FanInSpec::new(profiles::fdr_infiniband(), 6)
         };
         let mux_spec = FanInSpec {
-            mux: true,
+            server: ServerKind::Mux,
             ..base.clone()
         };
         let plain = run_fan_in(&base);
@@ -1866,7 +1589,7 @@ mod tests {
             ..FanInSpec::new(profiles::fdr_infiniband(), 4)
         };
         let aio_spec = FanInSpec {
-            aio: true,
+            server: ServerKind::Aio,
             ..base.clone()
         };
         let plain = run_fan_in(&base);

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use blast::fan_in::{expected_digest, payload_byte, FNV_OFFSET};
-use blast::{run_fan_in, FanInSpec, VerifyLevel};
+use blast::{run_fan_in, FanInSpec, ServerKind, VerifyLevel};
 use exs::{ExsConfig, ShardConfig, ShardPolicy, ThreadPort, ThreadReactorPool, VerbsPort};
 use rdma_verbs::{profiles, Access, HcaConfig, ThreadNet};
 
@@ -19,11 +19,11 @@ const MSGS: usize = 3;
 const MSG_LEN: u64 = 4 << 10;
 const EXPECTED: u64 = MSGS as u64 * MSG_LEN;
 
-fn spec(shards: usize, policy: ShardPolicy, aio: bool) -> FanInSpec {
+fn spec(shards: usize, policy: ShardPolicy, server: ServerKind) -> FanInSpec {
     FanInSpec {
         shards,
         shard_policy: policy,
-        aio,
+        server,
         msgs_per_conn: MSGS,
         msg_len: MSG_LEN,
         client_nodes: 4,
@@ -48,10 +48,10 @@ fn assert_expected(digests: &[u64], what: &str) {
 /// and both equal the closed form.
 #[test]
 fn sim_digests_identical_across_shard_counts() {
-    let single = run_fan_in(&spec(1, ShardPolicy::RoundRobin, false));
+    let single = run_fan_in(&spec(1, ShardPolicy::RoundRobin, ServerKind::Callback));
     assert_expected(&single.digests, "1 shard");
     for shards in [2usize, 4] {
-        let sharded = run_fan_in(&spec(shards, ShardPolicy::RoundRobin, false));
+        let sharded = run_fan_in(&spec(shards, ShardPolicy::RoundRobin, ServerKind::Callback));
         assert_eq!(
             single.digests, sharded.digests,
             "{shards}-shard delivery diverged from the single-shard run"
@@ -72,8 +72,8 @@ fn sim_digests_identical_across_shard_counts() {
 /// same bytes as the single-loop callback server.
 #[test]
 fn aio_sharded_matches_callback() {
-    let callback = run_fan_in(&spec(1, ShardPolicy::RoundRobin, false));
-    let aio = run_fan_in(&spec(4, ShardPolicy::RoundRobin, true));
+    let callback = run_fan_in(&spec(1, ShardPolicy::RoundRobin, ServerKind::Callback));
+    let aio = run_fan_in(&spec(4, ShardPolicy::RoundRobin, ServerKind::Aio));
     assert_eq!(
         callback.digests, aio.digests,
         "sharded aio server diverged from the callback server"
@@ -91,25 +91,30 @@ fn aio_sharded_matches_callback() {
 }
 
 /// Placement policy moves connections between shards, never bytes
-/// within a stream: LeastLoaded and Affinity runs are digest-identical
-/// to RoundRobin.
+/// within a stream: every policy delivers the closed-form digests, and
+/// the callback and aio servers place each connection on the same
+/// shard under every policy.
 #[test]
 fn placement_policies_deliver_identical_bytes() {
-    let rr = run_fan_in(&spec(4, ShardPolicy::RoundRobin, false));
-    assert_expected(&rr.digests, "round-robin x4");
-    for policy in [ShardPolicy::LeastLoaded, ShardPolicy::Affinity] {
-        let run = run_fan_in(&spec(4, policy, false));
+    for policy in [
+        ShardPolicy::RoundRobin,
+        ShardPolicy::LeastLoaded,
+        ShardPolicy::Affinity,
+    ] {
+        let assigned = |server| {
+            let run = run_fan_in(&spec(4, policy, server));
+            assert_expected(&run.digests, &format!("{policy:?} {server:?} x4"));
+            let rows = run.shard_stats.expect("per-shard telemetry");
+            rows.iter().map(|s| s.assigned).collect::<Vec<u64>>()
+        };
+        let callback = assigned(ServerKind::Callback);
+        assert_eq!(callback.iter().sum::<u64>(), CONNS as u64);
         assert_eq!(
-            rr.digests, run.digests,
-            "{policy:?} placement changed delivered bytes"
+            callback,
+            assigned(ServerKind::Aio),
+            "{policy:?}: the aio server placed connections differently"
         );
-        let rows = run.shard_stats.expect("per-shard telemetry");
-        assert_eq!(rows.iter().map(|s| s.assigned).sum::<u64>(), CONNS as u64);
     }
-    // Affinity keys off the client node, and with 4 nodes over 4 shards
-    // each shard hosts exactly one node's connections.
-    let affinity = run_fan_in(&spec(4, ShardPolicy::Affinity, false));
-    assert_eq!(affinity.digests, rr.digests);
 }
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
@@ -231,7 +236,7 @@ fn thread_pool_sharded_digests_match_sim() {
     assert_expected(&digests, "thread pool x4");
     // Same closed form the sim runs pin to — backend identity without
     // rerunning the simulator here.
-    let sim = run_fan_in(&spec(4, ShardPolicy::RoundRobin, false));
+    let sim = run_fan_in(&spec(4, ShardPolicy::RoundRobin, ServerKind::Callback));
     assert_eq!(sim.digests, digests, "thread backend diverged from sim");
 
     for handle in handles {

@@ -1057,95 +1057,30 @@ impl Executor {
     }
 }
 
-/// Adapts an [`Executor`] to the simulator's [`rdma_verbs::NodeApp`]
-/// protocol: every wake-up and timer event runs one turn, and pending
-/// timer deadlines are re-armed as simulator timer events — simulated
-/// time and task time interleave deterministically.
+/// Adapts executors to the simulator's [`rdma_verbs::NodeApp`]
+/// protocol: every wake-up and timer event runs one turn of each
+/// executor, and pending timer deadlines are re-armed as simulator
+/// timer events — simulated time and task time interleave
+/// deterministically.
+///
+/// One executor is the plain single-reactor node. With one executor per
+/// reactor shard it is the deterministic counterpart of N shard service
+/// threads: the turns run in shard order, so "parallel" shards
+/// interleave on one timeline and runs stay byte- and
+/// schedule-deterministic while exercising exactly the sharded
+/// placement the thread backend uses. The node is done only when every
+/// executor is drained ([`Executor::drained`]).
 pub struct SimDriver {
-    ex: Executor,
-    armed: u64,
-}
-
-impl SimDriver {
-    /// Wraps an executor for `SimNet::run`.
-    pub fn new(ex: Executor) -> SimDriver {
-        SimDriver { ex, armed: 0 }
-    }
-
-    /// The wrapped executor.
-    pub fn executor(&mut self) -> &mut Executor {
-        &mut self.ex
-    }
-
-    /// Shared view of the wrapped executor.
-    pub fn executor_ref(&self) -> &Executor {
-        &self.ex
-    }
-
-    /// A task/stream handle onto the wrapped executor.
-    pub fn handle(&self) -> AioHandle {
-        self.ex.handle()
-    }
-
-    fn pump(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
-        let now = api.now().as_nanos();
-        let next = self.ex.turn(api, now);
-        if let Some(deadline) = next {
-            // Lazy re-arm: only when no earlier live timer is armed.
-            // Stale fires land on an up-to-date turn and are ignored.
-            if self.armed <= now || deadline < self.armed {
-                api.set_timer(
-                    simnet::SimDuration::from_nanos(deadline.saturating_sub(now).max(1)),
-                    0,
-                );
-                self.armed = deadline.max(now + 1);
-            }
-        }
-    }
-}
-
-impl rdma_verbs::NodeApp for SimDriver {
-    fn on_start(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
-        self.pump(api);
-    }
-
-    fn on_wake(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
-        self.pump(api);
-    }
-
-    fn on_timer(&mut self, api: &mut rdma_verbs::NodeApi<'_>, _token: u64) {
-        self.armed = 0;
-        self.pump(api);
-    }
-
-    fn is_done(&self) -> bool {
-        self.ex.drained()
-    }
-}
-
-/// Drives one executor per reactor shard on a single simulated node:
-/// the deterministic counterpart of N shard service threads. Every
-/// wake-up and timer event runs one turn of *each* executor, in shard
-/// order — on the simulator "parallel" shards interleave on one
-/// timeline, so runs stay byte- and schedule-deterministic while
-/// exercising exactly the sharded placement the thread backend uses.
-/// The node is done only when every shard is drained
-/// ([`Executor::drained`]), the pool-wide extension of the PR-9
-/// teardown condition.
-pub struct SimShardDriver {
     shards: Vec<Executor>,
     armed: u64,
 }
 
-impl SimShardDriver {
+impl SimDriver {
     /// Wraps one executor per shard for `SimNet::run`. Panics on an
     /// empty shard set.
-    pub fn new(shards: Vec<Executor>) -> SimShardDriver {
-        assert!(
-            !shards.is_empty(),
-            "a shard driver needs at least one shard"
-        );
-        SimShardDriver { shards, armed: 0 }
+    pub fn new(shards: Vec<Executor>) -> SimDriver {
+        assert!(!shards.is_empty(), "a driver needs at least one executor");
+        SimDriver { shards, armed: 0 }
     }
 
     /// Number of shards driven.
@@ -1197,6 +1132,8 @@ impl SimShardDriver {
             };
         }
         if let Some(deadline) = next {
+            // Lazy re-arm: only when no earlier live timer is armed.
+            // Stale fires land on an up-to-date turn and are ignored.
             if self.armed <= now || deadline < self.armed {
                 api.set_timer(
                     simnet::SimDuration::from_nanos(deadline.saturating_sub(now).max(1)),
@@ -1208,7 +1145,7 @@ impl SimShardDriver {
     }
 }
 
-impl rdma_verbs::NodeApp for SimShardDriver {
+impl rdma_verbs::NodeApp for SimDriver {
     fn on_start(&mut self, api: &mut rdma_verbs::NodeApi<'_>) {
         self.pump(api);
     }

@@ -38,7 +38,7 @@ mod handle;
 mod select;
 mod time;
 
-pub use executor::{Executor, SimDriver, SimShardDriver};
+pub use executor::{Executor, SimDriver};
 pub use handle::{Accept, AioHandle, AioMux, AsyncStream, Ctl, Recv, SendAll};
 pub use select::{select, Either, Select};
 pub use time::{timeout, Sleep, Timeout};

@@ -65,7 +65,7 @@ pub mod stream;
 pub mod threaded;
 mod txpipe;
 
-pub use aio::{AioHandle, AioMux, AsyncStream, Executor, SimDriver, SimShardDriver};
+pub use aio::{AioHandle, AioMux, AsyncStream, Executor, SimDriver};
 pub use api::{Event, ExsContext, ExsFd, MsgFlags, QueuedEvent, SockType};
 pub use config::{
     ConfigError, DirectPolicy, ExsConfig, MuxAssignment, MuxConfig, ProtocolMode, ShardConfig,
@@ -80,7 +80,7 @@ pub use port::{CqPressure, VerbsPort};
 pub use reactor::{ConnId, MuxId, Reactor, ReactorConfig, Readiness};
 pub use seq::Seq;
 pub use seqpacket::{SeqPacketEvent, SeqPacketSocket};
-pub use shard::{ReactorPool, ShardBalance, ShardHandle, ShardMuxHandle};
+pub use shard::{Placement, ReactorPool, ShardBalance, ShardHandle, ShardMuxHandle};
 pub use stats::{AioStats, ConnStats, PoolStats, ReactorStats, ShardStats};
 pub use stream::{ExsEvent, StreamSocket};
-pub use threaded::{ThreadPort, ThreadReactor, ThreadReactorPool, ThreadStream};
+pub use threaded::{ThreadPort, ThreadReactorPool, ThreadStream};

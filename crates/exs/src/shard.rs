@@ -64,13 +64,7 @@ pub struct ShardMuxHandle {
 pub struct ReactorPool {
     shards: Vec<Reactor>,
     cfg: ShardConfig,
-    /// Next round-robin target; also the tie-breaker for LeastLoaded.
-    rr_next: usize,
-    /// Per-shard: connections ever routed here by the policy.
-    assigned: Vec<u64>,
-    /// Per-shard: LeastLoaded placements that deviated from the
-    /// round-robin successor.
-    steals: Vec<u64>,
+    placement: Placement,
     /// Reusable per-shard readiness buffer for `poll_all_into`.
     ready_buf: Vec<(ConnId, Readiness)>,
 }
@@ -87,13 +81,10 @@ impl ReactorPool {
             cfg.effective_shards(),
             "shard count must match the config"
         );
-        let n = shards.len();
         ReactorPool {
             shards,
+            placement: Placement::new(&cfg),
             cfg,
-            rr_next: 0,
-            assigned: vec![0; n],
-            steals: vec![0; n],
             ready_buf: Vec::new(),
         }
     }
@@ -127,8 +118,7 @@ impl ReactorPool {
 
     /// Live connections currently hosted on one shard.
     pub fn shard_conns(&self, shard: u32) -> u64 {
-        let s = self.shards[shard as usize].stats();
-        s.conns_added - s.conns_removed
+        live_conns(self.shards[shard as usize].stats())
     }
 
     /// Chooses the shard for the next accepted connection and charges
@@ -138,19 +128,16 @@ impl ReactorPool {
     /// [`ShardPolicy::Affinity`]; the other policies ignore it, and
     /// `Affinity` without a key degrades to round-robin.
     pub fn pick_shard(&mut self, affinity: Option<u64>) -> u32 {
-        let n = self.shards.len();
-        let rr = self.rr_next;
-        let (chosen, stole) = choose_shard(self.cfg.policy, rr, n, affinity, |s| {
-            self.shard_conns(s as u32)
-        });
-        if stole {
-            self.steals[chosen] += 1;
-        }
-        // The rotation advances on every pick regardless of policy, so
-        // tie-breaking and affinity fallback stay spread out.
-        self.rr_next = (rr + 1) % n;
-        self.assigned[chosen] += 1;
-        chosen as u32
+        let shards = &self.shards;
+        self.placement
+            .pick(affinity, |s| live_conns(shards[s].stats())) as u32
+    }
+
+    /// Dissolves the pool into its shard reactors (in shard order) and
+    /// the placement record, for a driver that runs each reactor
+    /// inside its own executor.
+    pub fn into_parts(self) -> (Vec<Reactor>, Placement) {
+        (self.shards, self.placement)
     }
 
     /// Registers a socket on the given shard (normally the one
@@ -232,29 +219,91 @@ impl ReactorPool {
         total
     }
 
-    /// Per-shard telemetry (placement, steals, poll/dispatch volume).
-    /// `busy_ns`/`wall_ns`/`commands` stay zero here — only the thread
-    /// backend's service loops sample a wall clock; its pool overlays
-    /// them (see `ThreadReactorPool::shard_stats`).
+    /// Per-shard telemetry (placement, steals, poll/dispatch volume;
+    /// see [`Placement::row`]).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
             .enumerate()
-            .map(|(s, r)| {
-                let rs = r.stats();
-                ShardStats {
-                    shard_id: s as u32,
-                    conns: rs.conns_added - rs.conns_removed,
-                    assigned: self.assigned[s],
-                    steals: self.steals[s],
-                    commands: 0,
-                    polls: rs.polls,
-                    cqes_dispatched: rs.cqes_dispatched,
-                    busy_ns: 0,
-                    wall_ns: 0,
-                }
-            })
+            .map(|(s, r)| self.placement.row(s, r.stats()))
             .collect()
+    }
+}
+
+/// Live connections on a shard, from its reactor's counters.
+fn live_conns(stats: &ReactorStats) -> u64 {
+    stats.conns_added - stats.conns_removed
+}
+
+/// Placement bookkeeping for one pool: the round-robin cursor and the
+/// per-shard assignment and steal counters, advanced by one
+/// [`ShardPolicy`] decision per accepted connection. Every pool — the
+/// simulator's [`ReactorPool`] (also when [`ReactorPool::into_parts`]
+/// hands its shards to per-shard executors) and the thread backend's
+/// `ThreadReactorPool` — places through this one type, so all of them
+/// place identically for the same inputs.
+#[derive(Clone, Debug)]
+pub struct Placement {
+    policy: ShardPolicy,
+    /// Next round-robin target; also the tie-breaker for LeastLoaded.
+    rr_next: usize,
+    /// Per-shard: connections ever routed here by the policy.
+    assigned: Vec<u64>,
+    /// Per-shard: LeastLoaded placements that deviated from the
+    /// round-robin successor.
+    steals: Vec<u64>,
+}
+
+impl Placement {
+    /// Fresh bookkeeping for `cfg.effective_shards()` shards.
+    pub fn new(cfg: &ShardConfig) -> Placement {
+        let n = cfg.effective_shards();
+        Placement {
+            policy: cfg.policy,
+            rr_next: 0,
+            assigned: vec![0; n],
+            steals: vec![0; n],
+        }
+    }
+
+    /// Chooses the shard for the next accepted connection and charges
+    /// the assignment to it. `load` probes a shard's live connection
+    /// count (consulted only by `LeastLoaded`).
+    pub fn pick(&mut self, affinity: Option<u64>, load: impl Fn(usize) -> u64) -> usize {
+        let n = self.assigned.len();
+        let rr = self.rr_next;
+        let (chosen, stole) = choose_shard(self.policy, rr, n, affinity, load);
+        if stole {
+            self.steals[chosen] += 1;
+        }
+        // The rotation advances on every pick regardless of policy, so
+        // tie-breaking and affinity fallback stay spread out.
+        self.rr_next = (rr + 1) % n;
+        self.assigned[chosen] += 1;
+        chosen
+    }
+
+    /// Connections ever routed to each shard, in shard order.
+    pub fn assigned(&self) -> &[u64] {
+        &self.assigned
+    }
+
+    /// One shard's telemetry row from its reactor's counters.
+    /// `busy_ns`/`wall_ns`/`commands` stay zero — only the thread
+    /// backend's service loops sample a wall clock, and its pool
+    /// overlays them.
+    pub fn row(&self, shard: usize, stats: &ReactorStats) -> ShardStats {
+        ShardStats {
+            shard_id: shard as u32,
+            conns: live_conns(stats),
+            assigned: self.assigned[shard],
+            steals: self.steals[shard],
+            commands: 0,
+            polls: stats.polls,
+            cqes_dispatched: stats.cqes_dispatched,
+            busy_ns: 0,
+            wall_ns: 0,
+        }
     }
 }
 
@@ -262,11 +311,8 @@ impl ReactorPool {
 /// current rotation cursor, `load` probes a shard's live connection
 /// count (consulted only by `LeastLoaded`). Returns `(chosen, stole)`
 /// where `stole` marks a `LeastLoaded` deviation from the round-robin
-/// successor. Shared by [`ReactorPool`] and the thread backend's
-/// `ThreadReactorPool`, so both backends place identically for the
-/// same inputs — the property the cross-backend identity tests lean
-/// on.
-pub fn choose_shard(
+/// successor.
+fn choose_shard(
     policy: ShardPolicy,
     rr: usize,
     shards: usize,

@@ -30,7 +30,7 @@ use crate::mempool::{MemPool, MrLease};
 use crate::mux::MuxEndpoint;
 use crate::port::VerbsPort;
 use crate::reactor::{ConnId, Reactor, ReactorConfig, Readiness};
-use crate::shard::{choose_shard, ShardHandle};
+use crate::shard::{Placement, ShardHandle};
 use crate::stats::{ConnStats, PoolStats, ReactorStats, ShardStats};
 use crate::stream::{ExsEvent, PreparedSocket, StreamSocket, CTRL_SLOT};
 
@@ -148,7 +148,7 @@ fn endpoint_objects(
 
 /// Connects a fresh [`StreamSocket`] pair between two nodes of an
 /// existing thread fabric. With `b_cqs`, `b`'s QP completes onto those
-/// shared CQs (the [`ThreadReactor`] accept path) instead of private
+/// shared CQs (the [`ThreadReactorPool`] accept path) instead of private
 /// ones.
 pub fn connect_sockets_over(
     a: &Arc<ThreadNode>,
@@ -248,6 +248,28 @@ struct EventBuf {
     recvs_done: HashMap<u64, u32>,
     peer_closed: bool,
     broken: bool,
+}
+
+/// Blocks on `cv` until `take` finds its completion in the guarded
+/// buffer, or `timeout` passes (`None`).
+fn wait_for<B, T>(
+    bufs: &Mutex<B>,
+    cv: &Condvar,
+    timeout: Duration,
+    mut take: impl FnMut(&mut B) -> Option<T>,
+) -> Option<T> {
+    let deadline = std::time::Instant::now() + timeout;
+    let mut guard = bufs.lock();
+    loop {
+        if let Some(done) = take(&mut guard) {
+            return Some(done);
+        }
+        let now = std::time::Instant::now();
+        if now >= deadline {
+            return None;
+        }
+        cv.wait_for(&mut guard, deadline.saturating_duration_since(now));
+    }
 }
 
 impl EventBuf {
@@ -424,39 +446,17 @@ impl ThreadStream {
     /// Blocks until send `id` completes; returns the bytes sent, or
     /// `None` on timeout.
     pub fn wait_send(&self, id: u64, timeout: Duration) -> Option<u64> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut buf = self.shared.events.lock();
-        loop {
-            if let Some(len) = buf.sends_done.remove(&id) {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.shared
-                .cv
-                .wait_for(&mut buf, deadline.saturating_duration_since(now));
-        }
+        wait_for(&self.shared.events, &self.shared.cv, timeout, |b| {
+            b.sends_done.remove(&id)
+        })
     }
 
     /// Blocks until receive `id` completes; returns the bytes received,
     /// or `None` on timeout.
     pub fn wait_recv(&self, id: u64, timeout: Duration) -> Option<u32> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut buf = self.shared.events.lock();
-        loop {
-            if let Some(len) = buf.recvs_done.remove(&id) {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.shared
-                .cv
-                .wait_for(&mut buf, deadline.saturating_duration_since(now));
-        }
+        wait_for(&self.shared.events, &self.shared.cv, timeout, |b| {
+            b.recvs_done.remove(&id)
+        })
     }
 
     /// Convenience: sends `data` through a pool-leased staging buffer
@@ -668,17 +668,16 @@ impl ShardCtl {
     }
 }
 
-/// The reactor service loop shared by [`ThreadReactor`] (one shard, no
-/// control block) and [`ThreadReactorPool`] (one of these threads per
-/// shard). Parks on the node's completion signal, drains cross-shard
-/// commands, performs one bounded poll, and publishes harvested events
-/// — reusing its readiness/harvest buffers so the steady state
-/// allocates nothing per wake.
+/// One shard's service loop in a [`ThreadReactorPool`]. Parks on the
+/// node's completion signal, drains cross-shard commands, performs one
+/// bounded poll, and publishes harvested events — reusing its
+/// readiness/harvest buffers so the steady state allocates nothing per
+/// wake.
 fn spawn_reactor_service(
     net: Arc<ThreadNet>,
     node: Arc<ThreadNode>,
     shared: Arc<ReactorShared>,
-    ctl: Option<Arc<ShardCtl>>,
+    ctl: Arc<ShardCtl>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         let epoch = std::time::Instant::now();
@@ -696,24 +695,22 @@ fn spawn_reactor_service(
                 seen = node.wait_any(seen, Duration::from_millis(50));
             }
             let work_start = std::time::Instant::now();
-            if let Some(ctl) = &ctl {
-                ctl.commands.drain_into(&mut commands);
-                if !commands.is_empty() {
-                    ctl.commands_drained
-                        .fetch_add(commands.len() as u64, Ordering::Relaxed);
-                    let mut reactor = shared.reactor.lock();
-                    for cmd in commands.drain(..) {
-                        match cmd {
-                            ShardCommand::Close(conn) => {
-                                let sock = reactor.remove(conn);
-                                shared.events.lock().remove(&conn.0);
-                                ctl.retired.lock().push((conn.0, sock));
-                            }
+            ctl.commands.drain_into(&mut commands);
+            if !commands.is_empty() {
+                ctl.commands_drained
+                    .fetch_add(commands.len() as u64, Ordering::Relaxed);
+                let mut reactor = shared.reactor.lock();
+                for cmd in commands.drain(..) {
+                    match cmd {
+                        ShardCommand::Close(conn) => {
+                            let sock = reactor.remove(conn);
+                            shared.events.lock().remove(&conn.0);
+                            ctl.retired.lock().push((conn.0, sock));
                         }
                     }
-                    drop(reactor);
-                    shared.cv.notify_all();
                 }
+                drop(reactor);
+                shared.cv.notify_all();
             }
             {
                 let mut reactor = shared.reactor.lock();
@@ -749,12 +746,10 @@ fn spawn_reactor_service(
                 drop(bufs);
                 shared.cv.notify_all();
             }
-            if let Some(ctl) = &ctl {
-                ctl.busy_ns
-                    .fetch_add(work_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                ctl.wall_ns
-                    .store(epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
+            ctl.busy_ns
+                .fetch_add(work_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            ctl.wall_ns
+                .store(epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     })
 }
@@ -785,248 +780,6 @@ fn drain_reactor_unsent(net: &Arc<ThreadNet>, node: &Arc<ThreadNode>, shared: &R
     }
 }
 
-/// A [`Reactor`] hosted on one node of the real-thread fabric.
-///
-/// Where each [`ThreadStream`] endpoint burns a service thread, a
-/// `ThreadReactor` runs **one** service thread for every accepted
-/// connection: the thread parks on the node's completion signal
-/// ([`ThreadNode::wait_any`] — the completion-channel analogue), and
-/// each wake performs one bounded [`Reactor::poll`] over the shared
-/// CQs. Application threads post sends/receives on any accepted
-/// connection and block on per-connection completions.
-pub struct ThreadReactor {
-    net: Arc<ThreadNet>,
-    node: Arc<ThreadNode>,
-    send_cq: CqId,
-    recv_cq: CqId,
-    shared: Arc<ReactorShared>,
-    /// Pin-down cache for server-side buffers on the reactor's node.
-    pool: MemPool,
-    /// One staging pool per client node, shared by every endpoint
-    /// [`ThreadReactor::accept`] creates on that node.
-    client_pools: Mutex<HashMap<u32, MemPool>>,
-    next_id: AtomicU64,
-    service: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ThreadReactor {
-    /// Creates the reactor on `node`, with shared CQs sized for
-    /// `max_conns` connections under `cfg`-shaped sockets.
-    pub fn new(
-        net: Arc<ThreadNet>,
-        node: Arc<ThreadNode>,
-        cfg: ReactorConfig,
-        exs_cfg: &ExsConfig,
-        max_conns: usize,
-    ) -> ThreadReactor {
-        let per_conn = exs_cfg.sq_depth * 2 + exs_cfg.credits as usize * 2;
-        let cq_depth = per_conn * max_conns.max(1);
-        let (send_cq, recv_cq) = node.with_hca(|h| (h.create_cq(cq_depth), h.create_cq(cq_depth)));
-        let shared = Arc::new(ReactorShared {
-            reactor: Mutex::new(Reactor::new(send_cq, recv_cq, cfg)),
-            events: Mutex::new(HashMap::new()),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-        });
-        let service = spawn_reactor_service(net.clone(), node.clone(), shared.clone(), None);
-        ThreadReactor {
-            net,
-            node,
-            send_cq,
-            recv_cq,
-            shared,
-            pool: MemPool::new(exs_cfg.pool.clone()),
-            client_pools: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            service: Some(service),
-        }
-    }
-
-    /// The reactor's node.
-    pub fn node(&self) -> &Arc<ThreadNode> {
-        &self.node
-    }
-
-    /// Accepts a new connection from `peer`: builds a QP pair whose
-    /// server side completes onto the shared CQs, registers the server
-    /// socket with the reactor, and returns the blocking client
-    /// endpoint (which runs its own service thread, as every
-    /// [`ThreadStream`] does).
-    pub fn accept(&self, peer: &Arc<ThreadNode>, cfg: &ExsConfig) -> (ConnId, ThreadStream) {
-        let (client_sock, server_sock) =
-            connect_sockets_over(peer, &self.node, cfg, Some((self.send_cq, self.recv_cq)));
-        let conn = self.shared.reactor.lock().accept(server_sock);
-        let pool = self
-            .client_pools
-            .lock()
-            .entry(peer.id().0)
-            .or_insert_with(|| MemPool::new(cfg.pool.clone()))
-            .clone();
-        let client = ThreadStream::start(self.net.clone(), peer.clone(), client_sock, pool);
-        (conn, client)
-    }
-
-    /// Registers I/O memory on the reactor's node. The caller owns the
-    /// registration; prefer [`ThreadReactor::acquire`] for pool-cached
-    /// buffers that release themselves.
-    pub fn register(&self, len: usize, access: Access) -> MrInfo {
-        self.node.with_hca(|h| h.register_mr(len, access))
-    }
-
-    /// Leases a registered buffer from the reactor node's pin-down
-    /// cache.
-    pub fn acquire(&self, len: usize, access: Access) -> MrLease {
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        self.pool.acquire(&mut port, len, access)
-    }
-
-    /// The reactor node's pool handle.
-    pub fn pool(&self) -> &MemPool {
-        &self.pool
-    }
-
-    /// Aggregated pool counters: the reactor node's pool merged with
-    /// every per-client-node pool created by accepts.
-    pub fn pool_stats(&self) -> PoolStats {
-        let mut total = self.pool.stats();
-        for pool in self.client_pools.lock().values() {
-            total.merge(&pool.stats());
-        }
-        total
-    }
-
-    /// Closes an accepted connection: detaches it from the reactor and
-    /// releases every registration the server-side socket owns.
-    pub fn close_conn(&self, conn: ConnId) {
-        let mut sock = self.shared.reactor.lock().remove(conn);
-        // Drain in-flight control traffic aimed at this connection's
-        // slots before deregistering them.
-        self.net.quiesce();
-        let mut port = ThreadPort::new(&self.net, &self.node);
-        sock.close(&mut port);
-        self.shared.events.lock().remove(&conn.0);
-    }
-
-    /// Posts an asynchronous receive on an accepted connection.
-    pub fn post_recv(
-        &self,
-        conn: ConnId,
-        mr: &MrInfo,
-        offset: u64,
-        len: u32,
-        waitall: bool,
-    ) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let events = {
-            let mut reactor = self.shared.reactor.lock();
-            let mut port = ThreadPort::new(&self.net, &self.node);
-            let sock = reactor.conn_mut(conn);
-            sock.exs_recv(&mut port, mr, offset, len, waitall, id);
-            sock.take_events()
-        };
-        self.publish(conn, events);
-        id
-    }
-
-    /// Posts an asynchronous send on an accepted connection.
-    pub fn post_send(&self, conn: ConnId, mr: &MrInfo, offset: u64, len: u64) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let events = {
-            let mut reactor = self.shared.reactor.lock();
-            let mut port = ThreadPort::new(&self.net, &self.node);
-            let sock = reactor.conn_mut(conn);
-            sock.exs_send(&mut port, mr, offset, len, id);
-            sock.take_events()
-        };
-        self.publish(conn, events);
-        id
-    }
-
-    fn publish(&self, conn: ConnId, events: Vec<ExsEvent>) {
-        if events.is_empty() {
-            return;
-        }
-        self.shared
-            .events
-            .lock()
-            .entry(conn.0)
-            .or_default()
-            .absorb(events);
-        self.shared.cv.notify_all();
-    }
-
-    /// Blocks until receive `id` on `conn` completes.
-    pub fn wait_recv(&self, conn: ConnId, id: u64, timeout: Duration) -> Option<u32> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut bufs = self.shared.events.lock();
-        loop {
-            if let Some(len) = bufs.entry(conn.0).or_default().recvs_done.remove(&id) {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.shared
-                .cv
-                .wait_for(&mut bufs, deadline.saturating_duration_since(now));
-        }
-    }
-
-    /// Blocks until send `id` on `conn` completes.
-    pub fn wait_send(&self, conn: ConnId, id: u64, timeout: Duration) -> Option<u64> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut bufs = self.shared.events.lock();
-        loop {
-            if let Some(len) = bufs.entry(conn.0).or_default().sends_done.remove(&id) {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.shared
-                .cv
-                .wait_for(&mut bufs, deadline.saturating_duration_since(now));
-        }
-    }
-
-    /// True once `conn`'s peer closed and its stream fully drained.
-    pub fn peer_closed(&self, conn: ConnId) -> bool {
-        self.shared.reactor.lock().conn(conn).peer_closed()
-    }
-
-    /// Protocol counters of one accepted connection.
-    pub fn conn_stats(&self, conn: ConnId) -> ConnStats {
-        self.shared.reactor.lock().conn(conn).stats().clone()
-    }
-
-    /// Sum of all accepted connections' protocol counters.
-    pub fn aggregate_stats(&self) -> ConnStats {
-        self.shared.reactor.lock().aggregate_conn_stats()
-    }
-
-    /// Event-loop statistics snapshot.
-    pub fn reactor_stats(&self) -> crate::stats::ReactorStats {
-        self.shared.reactor.lock().stats().clone()
-    }
-}
-
-impl Drop for ThreadReactor {
-    fn drop(&mut self) {
-        // Flush hosted streams' unsent traffic before signalling stop:
-        // a FIN queued behind flow control at teardown must still reach
-        // the wire or the peer hangs waiting for end-of-stream.
-        drain_reactor_unsent(&self.net, &self.node, &self.shared);
-        self.shared.stop.store(true, Ordering::Release);
-        self.shared.cv.notify_all();
-        self.node.notify();
-        if let Some(h) = self.service.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// One shard of a [`ThreadReactorPool`]: its CQ pair, reactor state,
 /// control block, and dedicated service thread.
 struct ShardRuntime {
@@ -1037,18 +790,18 @@ struct ShardRuntime {
     service: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Placement bookkeeping shared by all accept callers; touched only on
-/// the accept path, never while moving bytes.
-struct Placement {
-    rr_next: usize,
-    assigned: Vec<u64>,
-    steals: Vec<u64>,
-}
-
-/// A pool of [`ThreadReactor`]-style shards on one node: each shard
-/// owns its own CQ pair, reactor, and service thread, so CQE dispatch
-/// and readiness harvesting scale across cores instead of serialising
-/// on a single reactor lock.
+/// A [`Reactor`] pool hosted on one node of the real-thread fabric.
+///
+/// Where each [`ThreadStream`] endpoint burns a service thread, a pool
+/// runs **one** service thread per shard for every connection it
+/// accepts: the thread parks on the node's completion signal
+/// ([`ThreadNode::wait_any`] — the completion-channel analogue), and
+/// each wake performs one bounded [`Reactor::poll`] over the shard's
+/// shared CQs. Application threads post sends/receives on any accepted
+/// connection and block on per-connection completions. The default
+/// one-shard [`crate::config::ShardConfig`] is the single-reactor
+/// server; more shards scale CQE dispatch and readiness harvesting
+/// across cores instead of serialising on one reactor lock.
 ///
 /// Sharding invariants (mirrors [`crate::shard::ReactorPool`]):
 ///
@@ -1066,9 +819,12 @@ pub struct ThreadReactorPool {
     net: Arc<ThreadNet>,
     node: Arc<ThreadNode>,
     shards: Vec<ShardRuntime>,
-    policy: crate::config::ShardPolicy,
+    /// Touched only on the accept path, never while moving bytes.
     placement: Mutex<Placement>,
+    /// Pin-down cache for server-side buffers on the pool's node.
     pool: MemPool,
+    /// One staging pool per client node, shared by every endpoint
+    /// [`ThreadReactorPool::accept`] creates on that node.
     client_pools: Mutex<HashMap<u32, MemPool>>,
     next_id: AtomicU64,
 }
@@ -1099,7 +855,7 @@ impl ThreadReactorPool {
             });
             let ctl = Arc::new(ShardCtl::new());
             let service =
-                spawn_reactor_service(net.clone(), node.clone(), shared.clone(), Some(ctl.clone()));
+                spawn_reactor_service(net.clone(), node.clone(), shared.clone(), ctl.clone());
             shards.push(ShardRuntime {
                 send_cq,
                 recv_cq,
@@ -1112,12 +868,7 @@ impl ThreadReactorPool {
             net,
             node,
             shards,
-            policy: exs_cfg.shard.policy,
-            placement: Mutex::new(Placement {
-                rr_next: 0,
-                assigned: vec![0; nshards],
-                steals: vec![0; nshards],
-            }),
+            placement: Mutex::new(Placement::new(&exs_cfg.shard)),
             pool: MemPool::new(exs_cfg.pool.clone()),
             client_pools: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
@@ -1134,23 +885,11 @@ impl ThreadReactorPool {
         self.shards.len()
     }
 
-    fn live_conns(&self, shard: usize) -> u64 {
-        let st = self.shards[shard].shared.reactor.lock().stats().clone();
-        st.conns_added - st.conns_removed
-    }
-
     fn pick_shard(&self, affinity: Option<u64>) -> u32 {
-        let mut placement = self.placement.lock();
-        let rr = placement.rr_next;
-        let (shard, stolen) = choose_shard(self.policy, rr, self.shards.len(), affinity, |s| {
-            self.live_conns(s)
-        });
-        placement.rr_next = (rr + 1) % self.shards.len();
-        placement.assigned[shard] += 1;
-        if stolen {
-            placement.steals[shard] += 1;
-        }
-        shard as u32
+        self.placement.lock().pick(affinity, |s| {
+            let st = self.shards[s].shared.reactor.lock().stats().clone();
+            st.conns_added - st.conns_removed
+        }) as u32
     }
 
     /// Accepts a new connection from `peer`, placing it by the pool's
@@ -1190,7 +929,14 @@ impl ThreadReactorPool {
         self.pool.acquire(&mut port, len, access)
     }
 
-    /// Registers I/O memory on the pool's node.
+    /// The pool node's pin-down cache.
+    pub fn pool(&self) -> &MemPool {
+        &self.pool
+    }
+
+    /// Registers I/O memory on the pool's node. The caller owns the
+    /// registration; prefer [`ThreadReactorPool::acquire`] for
+    /// pool-cached buffers that release themselves.
     pub fn register(&self, len: usize, access: Access) -> MrInfo {
         self.node.with_hca(|h| h.register_mr(len, access))
     }
@@ -1234,93 +980,66 @@ impl ThreadReactorPool {
         len: u32,
         waitall: bool,
     ) -> u64 {
-        let rt = &self.shards[handle.shard as usize];
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let events = {
-            let mut reactor = rt.shared.reactor.lock();
-            let mut port = ThreadPort::new(&self.net, &self.node);
-            let sock = reactor.conn_mut(handle.conn);
-            sock.exs_recv(&mut port, mr, offset, len, waitall, id);
-            sock.take_events()
-        };
-        self.publish(rt, handle.conn, events);
-        id
+        self.post(handle, |sock, port, id| {
+            sock.exs_recv(port, mr, offset, len, waitall, id)
+        })
     }
 
     /// Posts an asynchronous send on an accepted connection.
     pub fn post_send(&self, handle: ShardHandle, mr: &MrInfo, offset: u64, len: u64) -> u64 {
+        self.post(handle, |sock, port, id| {
+            sock.exs_send(port, mr, offset, len, id)
+        })
+    }
+
+    /// Runs one post on `handle`'s socket under a fresh operation id and
+    /// publishes any events it completed inline.
+    fn post(
+        &self,
+        handle: ShardHandle,
+        op: impl FnOnce(&mut StreamSocket, &mut ThreadPort<'_>, u64),
+    ) -> u64 {
         let rt = &self.shards[handle.shard as usize];
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let events = {
             let mut reactor = rt.shared.reactor.lock();
             let mut port = ThreadPort::new(&self.net, &self.node);
             let sock = reactor.conn_mut(handle.conn);
-            sock.exs_send(&mut port, mr, offset, len, id);
+            op(sock, &mut port, id);
             sock.take_events()
         };
-        self.publish(rt, handle.conn, events);
-        id
-    }
-
-    fn publish(&self, rt: &ShardRuntime, conn: ConnId, events: Vec<ExsEvent>) {
-        if events.is_empty() {
-            return;
+        if !events.is_empty() {
+            rt.shared
+                .events
+                .lock()
+                .entry(handle.conn.0)
+                .or_default()
+                .absorb(events);
+            rt.shared.cv.notify_all();
         }
-        rt.shared
-            .events
-            .lock()
-            .entry(conn.0)
-            .or_default()
-            .absorb(events);
-        rt.shared.cv.notify_all();
+        id
     }
 
     /// Blocks until receive `id` on `handle` completes.
     pub fn wait_recv(&self, handle: ShardHandle, id: u64, timeout: Duration) -> Option<u32> {
-        let rt = &self.shards[handle.shard as usize];
-        let deadline = std::time::Instant::now() + timeout;
-        let mut bufs = rt.shared.events.lock();
-        loop {
-            if let Some(len) = bufs
-                .entry(handle.conn.0)
+        let shared = &self.shards[handle.shard as usize].shared;
+        wait_for(&shared.events, &shared.cv, timeout, |bufs| {
+            bufs.entry(handle.conn.0)
                 .or_default()
                 .recvs_done
                 .remove(&id)
-            {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            rt.shared
-                .cv
-                .wait_for(&mut bufs, deadline.saturating_duration_since(now));
-        }
+        })
     }
 
     /// Blocks until send `id` on `handle` completes.
     pub fn wait_send(&self, handle: ShardHandle, id: u64, timeout: Duration) -> Option<u64> {
-        let rt = &self.shards[handle.shard as usize];
-        let deadline = std::time::Instant::now() + timeout;
-        let mut bufs = rt.shared.events.lock();
-        loop {
-            if let Some(len) = bufs
-                .entry(handle.conn.0)
+        let shared = &self.shards[handle.shard as usize].shared;
+        wait_for(&shared.events, &shared.cv, timeout, |bufs| {
+            bufs.entry(handle.conn.0)
                 .or_default()
                 .sends_done
                 .remove(&id)
-            {
-                return Some(len);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            rt.shared
-                .cv
-                .wait_for(&mut bufs, deadline.saturating_duration_since(now));
-        }
+        })
     }
 
     /// True once `handle`'s peer closed and its stream fully drained.
@@ -1382,19 +1101,11 @@ impl ThreadReactorPool {
         self.shards
             .iter()
             .enumerate()
-            .map(|(i, rt)| {
-                let st = rt.shared.reactor.lock().stats().clone();
-                ShardStats {
-                    shard_id: i as u32,
-                    conns: st.conns_added - st.conns_removed,
-                    assigned: placement.assigned[i],
-                    steals: placement.steals[i],
-                    commands: rt.ctl.commands_drained.load(Ordering::Relaxed),
-                    polls: st.polls,
-                    cqes_dispatched: st.cqes_dispatched,
-                    busy_ns: rt.ctl.busy_ns.load(Ordering::Relaxed),
-                    wall_ns: rt.ctl.wall_ns.load(Ordering::Relaxed),
-                }
+            .map(|(i, rt)| ShardStats {
+                commands: rt.ctl.commands_drained.load(Ordering::Relaxed),
+                busy_ns: rt.ctl.busy_ns.load(Ordering::Relaxed),
+                wall_ns: rt.ctl.wall_ns.load(Ordering::Relaxed),
+                ..placement.row(i, rt.shared.reactor.lock().stats())
             })
             .collect()
     }

@@ -194,8 +194,8 @@ fn run_sim_case(sizes: Vec<usize>, cancel_nanos: Vec<u64>, recv_timeout_nanos: u
         Rc::clone(&delivered),
     ));
 
-    let mut ds = SimDriver::new(send_ex);
-    let mut dr = SimDriver::new(recv_ex);
+    let mut ds = SimDriver::new(vec![send_ex]);
+    let mut dr = SimDriver::new(vec![recv_ex]);
     let outcome = net.run(&mut [&mut ds, &mut dr], SimTime::from_secs(30));
     assert!(outcome.completed, "cancel case stalled: {outcome:?}");
 

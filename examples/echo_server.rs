@@ -95,7 +95,7 @@ fn main() {
             stream.shutdown().await.expect("echo shutdown failed");
         });
     }
-    let mut server = SimDriver::new(server_ex);
+    let mut server = SimDriver::new(vec![server_ex]);
 
     // Clients: each node gets its own small executor over a private
     // reactor (its one socket's CQs), running a single ping-pong task.
@@ -127,7 +127,7 @@ fn main() {
                 other => panic!("client {idx} expected EOF, got {other:?}"),
             }
         });
-        client_drivers.push(SimDriver::new(ex));
+        client_drivers.push(SimDriver::new(vec![ex]));
     }
 
     let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + CLIENTS);
@@ -138,7 +138,7 @@ fn main() {
     let outcome = net.run(&mut apps, SimTime::from_secs(60));
     assert!(outcome.completed, "echo workload stalled: {outcome:?}");
 
-    let ex = server.executor_ref();
+    let ex = server.executor_ref(0);
     let (rs, agg) = ex.with_reactor(|r| (r.stats().clone(), r.aggregate_conn_stats()));
     let aio = ex.stats();
     println!("echo server: {CLIENTS} async tasks x {ROUNDS} rounds x {MSG} B");

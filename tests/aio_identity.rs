@@ -11,7 +11,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use rdma_stream::blast::fan_in::expected_digest;
-use rdma_stream::blast::{run_fan_in, FanInSpec, VerifyLevel};
+use rdma_stream::blast::{run_fan_in, FanInSpec, ServerKind, VerifyLevel};
 use rdma_stream::exs::threaded::connect_sockets_shared;
 use rdma_stream::exs::{
     Executor, ExsConfig, ExsError, Reactor, ReactorConfig, SimDriver, StreamSocket,
@@ -138,9 +138,9 @@ fn sim_echo_digests() -> Vec<u64> {
         let stream = ex.handle().stream_with(cconn, MSG as u32, 2);
         ex.handle()
             .spawn(echo_client(stream, idx, Rc::clone(&digests[idx])));
-        client_drivers.push(SimDriver::new(ex));
+        client_drivers.push(SimDriver::new(vec![ex]));
     }
-    let mut server = SimDriver::new(server_ex);
+    let mut server = SimDriver::new(vec![server_ex]);
 
     let mut apps: Vec<&mut dyn NodeApp> = Vec::with_capacity(1 + CONNS);
     apps.push(&mut server);
@@ -149,7 +149,7 @@ fn sim_echo_digests() -> Vec<u64> {
     }
     let outcome = net.run(&mut apps, SimTime::from_secs(30));
     assert!(outcome.completed, "sim echo stalled: {outcome:?}");
-    assert_eq!(server.executor_ref().stats().tasks_completed, CONNS as u64);
+    assert_eq!(server.executor_ref(0).stats().tasks_completed, CONNS as u64);
 
     digests.into_iter().map(|d| *d.borrow()).collect()
 }
@@ -233,7 +233,7 @@ fn async_fan_in_matches_callback_model() {
         ..FanInSpec::new(profiles::fdr_infiniband(), 6)
     };
     let aio_spec = FanInSpec {
-        aio: true,
+        server: ServerKind::Aio,
         ..base.clone()
     };
     let plain = run_fan_in(&base);

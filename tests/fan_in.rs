@@ -12,7 +12,7 @@ use rdma_stream::blast::{run_fan_in, FanInSpec, SizeDist, VerifyLevel};
 use rdma_stream::exs::threaded::connect_mux_over;
 use rdma_stream::exs::{
     connect_mux_pair, ConnStats, DirectPolicy, Event, ExsConfig, ExsContext, ExsFd, MsgFlags,
-    MuxEndpoint, MuxEvent, ProtocolMode, ReactorConfig, SockType, ThreadPort, ThreadReactor,
+    MuxEndpoint, MuxEvent, ProtocolMode, ReactorConfig, SockType, ThreadPort, ThreadReactorPool,
     VerbsPort,
 };
 use rdma_stream::simnet::SimTime;
@@ -240,7 +240,7 @@ fn threaded_fan_in_digests(
         net.connect_nodes(p, &server, Duration::ZERO);
     }
     let net = Arc::new(net);
-    let reactor = Arc::new(ThreadReactor::new(
+    let reactor = Arc::new(ThreadReactorPool::new(
         net.clone(),
         server.clone(),
         ReactorConfig::default(),

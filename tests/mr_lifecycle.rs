@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use rdma_stream::exs::{
     Event, ExsConfig, ExsContext, MsgFlags, ProtocolMode, ReactorConfig, SockType, ThreadPort,
-    ThreadReactor, ThreadStream,
+    ThreadReactorPool, ThreadStream,
 };
 use rdma_stream::simnet::SimTime;
 use rdma_stream::verbs::threaded::ThreadNet;
@@ -203,7 +203,7 @@ fn thread_reactor_close_releases_registrations() {
     let peer = net.add_node(HcaConfig::default());
     net.connect_nodes(&peer, &server, Duration::ZERO);
     let net = Arc::new(net);
-    let reactor = ThreadReactor::new(
+    let reactor = ThreadReactorPool::new(
         net.clone(),
         server.clone(),
         ReactorConfig::default(),

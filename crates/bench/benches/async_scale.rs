@@ -15,14 +15,14 @@
 //! * at 10k tasks, async aggregate throughput must stay ≥ 0.9× the
 //!   callback-mode baseline at the same connection count;
 //! * on the real-thread backend, every task must complete on the single
-//!   service thread, digest-exact.
+//!   service thread, digest-exact;
+//! * no snapshot may report more than the server NIC's line rate.
 //!
 //! Snapshots land in `bench-results/async_scale_{1k,10k}.json`. Quick
 //! mode (`EXS_BENCH_QUICK=1`) runs both scales on the simulator but
 //! shrinks the threaded demonstration to 1k tasks.
 
 use std::cell::RefCell;
-use std::path::Path;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,7 +31,7 @@ use blast::fan_in::{expected_digest, payload_byte, FNV_OFFSET};
 use blast::{run_fan_in, FanInSpec, ServerKind, VerifyLevel};
 use exs::threaded::connect_sockets_shared;
 use exs::{Executor, ExsConfig, ExsError, Reactor, ReactorConfig};
-use exs_bench::quick;
+use exs_bench::{check_capacity, quick, write_snapshot};
 use rdma_verbs::{profiles, HcaConfig, ThreadNet};
 
 const SEED: u64 = 29;
@@ -190,7 +190,6 @@ fn threaded_fan_in(conns: usize, client_threads: usize) -> (Vec<u64>, f64) {
 
 fn main() {
     let scales: &[(usize, &str)] = &[(1_000, "1k"), (10_000, "10k")];
-    let out_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-results");
     let mut violations = 0u32;
 
     println!();
@@ -235,10 +234,9 @@ fn main() {
                 "DIVERGED"
             },
         );
-        match aio.write_snapshot(&out_dir, &format!("async_scale_{tag}")) {
-            Ok(path) => println!("        snapshot: {}", path.display()),
-            Err(e) => eprintln!("        snapshot write failed: {e}"),
-        }
+        let name = format!("async_scale_{tag}");
+        write_snapshot(&name, &aio.to_json());
+        check_capacity(&name, aio.offered_load_ratio());
 
         if aio.digests != callback.digests {
             eprintln!("VIOLATION: async delivery diverges from the callback server at {tasks}");

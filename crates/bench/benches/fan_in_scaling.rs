@@ -9,17 +9,16 @@
 //!
 //! Each configuration's full counter snapshot (aggregate + reactor +
 //! per-connection) is written to `bench-results/fan_in_<N>conns.json`.
-
-use std::path::Path;
+//! The run exits non-zero if any configuration reports more than the
+//! server NIC's line rate.
 
 use blast::{run_fan_in, FanInSpec};
-use exs_bench::quick;
+use exs_bench::{check_capacity, quick, write_snapshot};
 use rdma_verbs::profiles;
 
 fn main() {
     let conn_counts = [1usize, 8, 64, 512];
     let (msgs, msg_len) = if quick() { (2, 8 << 10) } else { (6, 16 << 10) };
-    let out_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-results");
 
     println!();
     println!("=== Fan-in scaling: M streams -> one reactor node (FDR IB) ===");
@@ -44,10 +43,9 @@ fn main() {
             report.reactor.max_cq_batch,
             report.reactor.deferrals,
         );
-        match report.write_snapshot(&out_dir, &format!("fan_in_{conns}conns")) {
-            Ok(path) => println!("       snapshot: {}", path.display()),
-            Err(e) => eprintln!("       snapshot write failed: {e}"),
-        }
+        let name = format!("fan_in_{conns}conns");
+        write_snapshot(&name, &report.to_json());
+        check_capacity(&name, report.offered_load_ratio());
     }
     println!();
     println!("expected shape: aggregate throughput holds as conns grow; mean CQ batch");

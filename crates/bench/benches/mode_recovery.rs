@@ -13,12 +13,11 @@
 //! Each cell's full counter snapshot is written to
 //! `bench-results/mode_recovery_<size>_d<depth>.json`. The run exits
 //! non-zero if the large-message, deep-queue cell fails to recover
-//! direct mode — the CI regression gate for this subsystem.
-
-use std::path::Path;
+//! direct mode — the CI regression gate for this subsystem — or if any
+//! cell reports more than the server NIC's line rate.
 
 use blast::{run_fan_in, FanInSpec};
-use exs_bench::quick;
+use exs_bench::{check_capacity, quick, write_snapshot};
 use rdma_verbs::profiles;
 
 fn main() {
@@ -26,7 +25,6 @@ fn main() {
     let msg_lens: &[u64] = &[8 << 10, 64 << 10];
     let depths: &[usize] = &[1, 4];
     let msgs = if quick() { 3 } else { 8 };
-    let out_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-results");
 
     println!();
     println!("=== Mode recovery: direct-byte share vs pre-post depth ({CONNS} conns, FDR IB) ===");
@@ -66,10 +64,8 @@ fn main() {
                 report.aggregate.advert_queue_mean(),
             );
             let name = format!("mode_recovery_{}k_d{depth}", msg_len >> 10);
-            match report.write_snapshot(&out_dir, &name) {
-                Ok(path) => println!("          snapshot: {}", path.display()),
-                Err(e) => eprintln!("          snapshot write failed: {e}"),
-            }
+            write_snapshot(&name, &report.to_json());
+            check_capacity(&name, report.offered_load_ratio());
             if msg_len == 64 << 10 && depth == 4 {
                 gate_ratio = Some(report.direct_byte_ratio());
             }

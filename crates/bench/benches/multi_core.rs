@@ -24,11 +24,11 @@
 //!
 //! Snapshots land in `bench-results/multi_core_{1,2,4,8}shards.json`
 //! (simulator runs: full per-shard telemetry rides in the `shards`
-//! JSON block). Quick mode (`EXS_BENCH_QUICK=1`) runs 512 connections;
+//! JSON block); a snapshot above the server NIC's line rate fails the
+//! run. Quick mode (`EXS_BENCH_QUICK=1`) runs 512 connections;
 //! full mode 2048 simulated / 10k threaded.
 
 use std::cell::RefCell;
-use std::path::Path;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,7 +37,7 @@ use blast::fan_in::{expected_digest, payload_byte, FNV_OFFSET};
 use blast::{run_fan_in, FanInSpec, VerifyLevel};
 use exs::threaded::connect_sockets_shared;
 use exs::{Executor, ExsConfig, ExsError, Reactor, ReactorConfig, ShardBalance};
-use exs_bench::quick;
+use exs_bench::{check_capacity, quick, write_snapshot};
 use rdma_verbs::{profiles, HcaConfig, ThreadNet};
 
 const SEED: u64 = 31;
@@ -229,7 +229,6 @@ fn threaded_sharded_fan_in(conns: usize, shards: usize, client_threads: usize) -
 fn main() {
     let sim_conns = if quick() { 512 } else { 2048 };
     let thr_conns = if quick() { 512 } else { 10_000 };
-    let out_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-results");
     let mut violations = 0u32;
     let expected_len = MSGS as u64 * MSG_LEN;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -271,10 +270,9 @@ fn main() {
             "-",
             if identical { "identical" } else { "DIVERGED" },
         );
-        match report.write_snapshot(&out_dir, &format!("multi_core_{shards}shards")) {
-            Ok(path) => println!("        snapshot: {}", path.display()),
-            Err(e) => eprintln!("        snapshot write failed: {e}"),
-        }
+        let name = format!("multi_core_{shards}shards");
+        write_snapshot(&name, &report.to_json());
+        check_capacity(&name, report.offered_load_ratio());
 
         if !identical {
             eprintln!("VIOLATION: {shards}-shard delivery diverges from the single-shard run");

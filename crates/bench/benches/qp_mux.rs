@@ -18,18 +18,17 @@
 //! * at 1k and 10k streams, control messages (adverts, ACKs and
 //!   CREDITs, both sides) per delivered message must stay ≤ 4 — the
 //!   bound that catches a control plane queueing one message per event
-//!   instead of coalescing.
+//!   instead of coalescing;
+//! * no snapshot may report more than the server NIC's line rate.
 //!
 //! Snapshots land in `bench-results/qp_mux_{1k,10k,100k}.json`. Quick
 //! mode (`EXS_BENCH_QUICK=1`) runs 1k and 10k; the full run adds 100k,
 //! whose baseline is the model extrapolation (100k private 64 KiB
 //! rings would not even allocate).
 
-use std::path::Path;
-
 use blast::fan_in::expected_digest;
 use blast::{run_fan_in, FanInReport, FanInSpec, ServerKind, VerifyLevel};
-use exs_bench::quick;
+use exs_bench::{check_capacity, quick, write_snapshot};
 use rdma_verbs::profiles;
 
 fn spec_for(streams: usize, server: ServerKind) -> FanInSpec {
@@ -61,7 +60,6 @@ fn main() {
     } else {
         &[(1_000, "1k"), (10_000, "10k"), (100_000, "100k")]
     };
-    let out_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-results");
     let mut violations = 0u32;
 
     println!();
@@ -106,10 +104,9 @@ fn main() {
             ratio,
             ctrl,
         );
-        match report.write_snapshot(&out_dir, &format!("qp_mux_{tag}")) {
-            Ok(path) => println!("        snapshot: {}", path.display()),
-            Err(e) => eprintln!("        snapshot write failed: {e}"),
-        }
+        let name = format!("qp_mux_{tag}");
+        write_snapshot(&name, &report.to_json());
+        check_capacity(&name, report.offered_load_ratio());
 
         let expected_len = spec.msgs_per_conn as u64 * spec.msg_len;
         for (i, &d) in report.digests.iter().enumerate() {

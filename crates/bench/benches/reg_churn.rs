@@ -14,11 +14,8 @@
 //! Each working set's result is written to
 //! `bench-results/reg_churn_<N>buf.json`.
 
-use std::io::Write as _;
-use std::path::Path;
-
 use exs::{MemPool, MemPoolConfig};
-use exs_bench::quick;
+use exs_bench::{quick, write_snapshot};
 use rdma_verbs::profiles;
 use rdma_verbs::sim::SimNet;
 use rdma_verbs::types::Access;
@@ -28,7 +25,6 @@ const BUF_LEN: usize = 64 << 10;
 fn main() {
     let working_sets = [1usize, 8, 64];
     let iters = if quick() { 20 } else { 200 };
-    let out_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-results");
 
     println!();
     println!("=== Registration churn: per-transfer reg/dereg vs. MemPool (FDR IB) ===");
@@ -106,10 +102,7 @@ fn main() {
              \"speedup\":{speedup:.2},\"pool\":{}}}",
             stats.to_json()
         );
-        match write_snapshot(&out_dir, &format!("reg_churn_{n}buf"), &json) {
-            Ok(path) => println!("         snapshot: {}", path.display()),
-            Err(e) => eprintln!("         snapshot write failed: {e}"),
-        }
+        write_snapshot(&format!("reg_churn_{n}buf"), &json);
 
         // Steady-state sanity: every post-cold acquire must hit, and the
         // large working set is where amortization pays — the issue's
@@ -127,13 +120,4 @@ fn main() {
     println!();
     println!("expected shape: unpooled cost grows linearly with churn; pooled cost is");
     println!("one cold pass plus near-free hits, so the gap widens with the working set.");
-}
-
-fn write_snapshot(dir: &Path, name: &str, json: &str) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(json.as_bytes())?;
-    f.write_all(b"\n")?;
-    Ok(path)
 }

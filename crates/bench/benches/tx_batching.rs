@@ -15,12 +15,9 @@
 //! stream digest; each size's result is written to
 //! `bench-results/tx_batching_<size>B.json`.
 
-use std::io::Write as _;
-use std::path::Path;
-
 use blast::{run_blast, BlastSpec, SizeDist, VerifyLevel};
 use exs::{ExsConfig, ProtocolMode};
-use exs_bench::quick;
+use exs_bench::{quick, write_snapshot};
 use rdma_verbs::profiles;
 
 fn spec(size: u64, messages: usize, tx_batch_limit: usize) -> BlastSpec {
@@ -50,7 +47,6 @@ fn spec(size: u64, messages: usize, tx_batch_limit: usize) -> BlastSpec {
 fn main() {
     let sizes = [64u64, 128, 256, 512, 1024, 4096];
     let messages = if quick() { 150 } else { 600 };
-    let out_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-results");
 
     println!();
     println!("=== Transmit-path batching: postlists + selective signaling + coalescing (FDR IB, BCopy) ===");
@@ -106,10 +102,7 @@ fn main() {
             batched.sender.to_json(),
             unbatched.sender.to_json(),
         );
-        match write_snapshot(&out_dir, &format!("tx_batching_{size}B"), &json) {
-            Ok(path) => println!("         snapshot: {}", path.display()),
-            Err(e) => eprintln!("         snapshot write failed: {e}"),
-        }
+        write_snapshot(&format!("tx_batching_{size}B"), &json);
 
         // Amortization sanity where messages are small enough to share
         // postlists and staged WWIs (at 4 KiB every WWI flushes alone
@@ -141,13 +134,4 @@ fn main() {
     println!();
     println!("expected shape: the gap is widest at the smallest sizes, where per-doorbell");
     println!("and per-CQE overheads dominate the wire time, and closes as payload grows.");
-}
-
-fn write_snapshot(dir: &Path, name: &str, json: &str) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(json.as_bytes())?;
-    f.write_all(b"\n")?;
-    Ok(path)
 }

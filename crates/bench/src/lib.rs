@@ -12,7 +12,9 @@
 //! Results are printed as mean ± 95% confidence interval, matching the
 //! paper's reporting.
 
-use blast::{run_blast_seeds, BlastReport, BlastSpec, Summary};
+use std::path::Path;
+
+use blast::{run_blast_seeds, BlastReport, BlastSpec, Summary, MAX_OFFERED_LOAD};
 
 /// Number of repetitions per configuration.
 pub fn runs() -> usize {
@@ -83,6 +85,31 @@ pub fn print_row(label: &str, cells: &[Summary]) {
 /// Prints a free-form note under a table.
 pub fn note(text: &str) {
     println!("  note: {text}");
+}
+
+/// Writes `json` to `bench-results/<name>.json` at the repository root
+/// (creating the directory) and prints where it went.
+pub fn write_snapshot(name: &str, json: &str) {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-results");
+    let path = dir.join(format!("{name}.json"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, format!("{json}\n"))) {
+        Ok(()) => println!("        snapshot: {}", path.display()),
+        Err(e) => eprintln!("        snapshot {} write failed: {e}", path.display()),
+    }
+}
+
+/// The capacity gate every bench that writes a throughput snapshot
+/// calls: exits non-zero if `name` reports an offered load (delivered
+/// throughput over the bottleneck link's rate) above
+/// [`MAX_OFFERED_LOAD`]. No simulated run may beat line rate.
+pub fn check_capacity(name: &str, offered_load_ratio: f64) {
+    if offered_load_ratio > MAX_OFFERED_LOAD {
+        eprintln!(
+            "VIOLATION: {name} reports {offered_load_ratio:.3}x the bottleneck link's \
+             rate (bound {MAX_OFFERED_LOAD})"
+        );
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]

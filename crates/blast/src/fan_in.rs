@@ -18,8 +18,6 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use exs::{
@@ -29,10 +27,12 @@ use exs::{
     ShardPolicy, ShardStats, SimDriver, StreamSocket,
 };
 use rdma_verbs::{
-    Access, FabricModel, FabricStats, HwProfile, MrInfo, NodeApi, NodeApp, NodeId, SimNet,
+    Access, FabricModel, FabricStats, FairShareConfig, HwProfile, MrInfo, NodeApi, NodeApp, NodeId,
+    SimNet,
 };
 use simnet::{SimDuration, SimTime};
 
+use crate::metrics::MAX_OFFERED_LOAD;
 use crate::runner::VerifyLevel;
 
 /// FNV-1a 64-bit offset basis (digest seed).
@@ -155,15 +155,8 @@ pub struct FanInSpec {
     pub shards: usize,
     /// Placement policy for `shards > 1`.
     pub shard_policy: ShardPolicy,
-    /// Workload seed (host jitter, link seeds, payload pattern).
+    /// Workload seed (host jitter, fabric jitter, payload pattern).
     pub seed: u64,
-    /// Bandwidth-contention model for the simulated fabric.
-    /// [`FabricModel::Fifo`] (default) gives every node pair a private
-    /// serializing link — aggregate ingress can exceed the server NIC's
-    /// line rate. [`FabricModel::FairShare`] makes concurrent flows
-    /// split NIC/core capacity max-min fairly, capping the aggregate at
-    /// the bottleneck and exposing incast contention.
-    pub fabric: FabricModel,
     /// Abort threshold for the virtual clock.
     pub time_limit: SimDuration,
 }
@@ -188,7 +181,6 @@ impl FanInSpec {
             shards: 1,
             shard_policy: ShardPolicy::RoundRobin,
             seed: 1,
-            fabric: FabricModel::Fifo,
             time_limit: SimDuration::from_secs(600),
         }
     }
@@ -248,8 +240,9 @@ pub struct FanInReport {
     /// ideal (unlimited) profile. Capacity context for the throughput
     /// number: without it an over-capacity result looks plausible.
     pub link_bandwidth_bps: u64,
-    /// Fair-share fabric telemetry (per-flow achieved rates, re-speed
-    /// counts, Jain fairness index); `None` on the FIFO model.
+    /// Fabric telemetry (per-flow achieved rates, re-speed counts, Jain
+    /// fairness index). Always `Some`: it mirrors
+    /// [`SimNet::fabric_stats`].
     pub fabric: Option<FabricStats>,
     /// Wall-clock time spent on connection establishment (QP creation,
     /// MR registration, parameter exchange) before the timed transfer —
@@ -304,9 +297,9 @@ impl FanInReport {
 
     /// Aggregate ingress throughput as a fraction of the bottleneck
     /// link's capacity. A value above ~1.0 is self-evidently bogus —
-    /// more payload delivered per second than the server NIC can carry
-    /// (the FIFO model produces exactly this at high fan-in). 0.0 when
-    /// the profile's bandwidth is unlimited.
+    /// more payload delivered per second than the server NIC can carry;
+    /// [`run_fan_in`] asserts it stays at most [`MAX_OFFERED_LOAD`].
+    /// 0.0 when the profile's bandwidth is unlimited.
     pub fn offered_load_ratio(&self) -> f64 {
         if self.link_bandwidth_bps == 0 {
             0.0
@@ -412,18 +405,6 @@ impl FanInReport {
         }
         out.push_str("]}");
         out
-    }
-
-    /// Writes the JSON snapshot to `dir/name.json` (creating `dir`),
-    /// returning the path written.
-    pub fn write_snapshot(&self, dir: impl AsRef<Path>, name: &str) -> std::io::Result<PathBuf> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.json"));
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(self.to_json().as_bytes())?;
-        f.write_all(b"\n")?;
-        Ok(path)
     }
 }
 
@@ -1330,8 +1311,8 @@ fn accept_mux(
 /// # Panics
 /// Panics on deadlock/timeout, payload corruption (with
 /// [`VerifyLevel::Full`]), any connection or transport error — all
-/// protocol bugs — and on a fair-share run whose aggregate ingress
-/// exceeds the bottleneck link (offered load above 1.01).
+/// protocol bugs — and on a run whose aggregate ingress exceeds the
+/// bottleneck link (offered load above [`MAX_OFFERED_LOAD`]).
 pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     assert!(spec.conns >= 1, "need at least one connection");
     assert!(
@@ -1341,7 +1322,7 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
     let expected = spec.msgs_per_conn as u64 * spec.msg_len;
 
     let mut net = SimNet::new();
-    net.set_fabric(spec.fabric.clone());
+    net.set_fabric(FabricModel::FairShare(FairShareConfig::new(spec.seed)));
     net.set_host_seed(
         spec.seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -1493,16 +1474,13 @@ pub fn run_fan_in(spec: &FanInSpec) -> FanInReport {
         aio_per_shard,
         events: outcome.events,
     };
-    // The fair-share fabric caps aggregate ingress at the bottleneck;
-    // delivering more than it can carry means the model leaked
-    // capacity. FIFO links are private per pair and may exceed it.
-    if spec.fabric.is_fair_share() {
-        assert!(
-            report.offered_load_ratio() <= 1.01,
-            "fair-share fan-in exceeded the bottleneck: offered load {:.4}",
-            report.offered_load_ratio()
-        );
-    }
+    // The fabric caps aggregate ingress at the bottleneck; delivering
+    // more than it can carry means the model leaked capacity.
+    assert!(
+        report.offered_load_ratio() <= MAX_OFFERED_LOAD,
+        "fan-in exceeded the bottleneck: offered load {:.4}",
+        report.offered_load_ratio()
+    );
     report
 }
 

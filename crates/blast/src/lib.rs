@@ -33,5 +33,5 @@ pub mod runner;
 pub use distribution::SizeDist;
 pub use fan_in::{run_fan_in, FanInReport, FanInSpec, ServerKind};
 pub use latency::{run_pingpong, PingPongReport, PingPongSpec};
-pub use metrics::{BlastReport, Summary};
+pub use metrics::{BlastReport, Summary, MAX_OFFERED_LOAD};
 pub use runner::{run_blast, run_blast_seeds, BlastSpec, VerifyLevel};

@@ -52,10 +52,17 @@ pub struct BlastReport {
     /// Configured bandwidth of the host link, in bits per second
     /// (0 for the ideal profile's unlimited link).
     pub link_bandwidth_bps: u64,
-    /// Fabric allocator snapshot (`None` under the FIFO model or the
-    /// thread backend, where no flow-level allocator runs).
+    /// Fabric allocator snapshot. Always `Some` from [`crate::run_blast`]:
+    /// it mirrors `SimNet::fabric_stats`.
     pub fabric: Option<FabricStats>,
 }
+
+/// The highest offered load (delivered throughput over the bottleneck
+/// link's rate) a simulated run may report. The fabric never carries
+/// more than a link's rate; the bound leaves 1 % of slack.
+/// [`crate::run_blast`] and [`crate::run_fan_in`] assert it, and every
+/// bench that writes a throughput snapshot gates on it.
+pub const MAX_OFFERED_LOAD: f64 = 1.01;
 
 impl BlastReport {
     /// Elapsed measured time.

@@ -9,12 +9,14 @@
 //! library's direct/indirect statistics.
 
 use exs::{ExsConfig, ExsEvent, StreamSocket};
-use rdma_verbs::{Access, FabricModel, HwProfile, MrInfo, NodeApi, NodeApp, SimNet};
+use rdma_verbs::{
+    Access, FabricModel, FairShareConfig, HwProfile, MrInfo, NodeApi, NodeApp, SimNet,
+};
 use simnet::{SimDuration, SimTime};
 
 use crate::distribution::SizeDist;
 use crate::fan_in::{fnv1a, FNV_OFFSET};
-use crate::metrics::BlastReport;
+use crate::metrics::{BlastReport, MAX_OFFERED_LOAD};
 
 /// How much payload verification the receiver performs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,7 +52,7 @@ pub struct BlastSpec {
     pub waitall: bool,
     /// Payload verification level.
     pub verify: VerifyLevel,
-    /// Workload RNG seed.
+    /// Workload RNG seed (message sizes, host jitter, fabric jitter).
     pub seed: u64,
     /// Delay before the client's first send (`None` ⇒ one round trip
     /// plus 20 µs, modelling connection establishment — the receiver's
@@ -59,8 +61,6 @@ pub struct BlastSpec {
     pub start_delay: Option<SimDuration>,
     /// Abort threshold for the virtual clock.
     pub time_limit: SimDuration,
-    /// Link contention model for the simulated fabric.
-    pub fabric: FabricModel,
 }
 
 impl BlastSpec {
@@ -79,7 +79,6 @@ impl BlastSpec {
             seed: 1,
             start_delay: None,
             time_limit: SimDuration::from_secs(600),
-            fabric: FabricModel::Fifo,
         }
     }
 
@@ -102,6 +101,12 @@ impl BlastSpec {
 
 fn pattern(i: u64) -> u8 {
     (i % 251) as u8
+}
+
+/// The digest a fully verified blast run of `total` bytes must report:
+/// its stream is the pattern the sender writes, whatever the timing.
+pub fn expected_blast_digest(total: u64) -> u64 {
+    (0..total).fold(FNV_OFFSET, |h, i| fnv1a(h, &[pattern(i)]))
 }
 
 struct Client {
@@ -304,7 +309,9 @@ impl NodeApp for Server {
 ///
 /// # Panics
 /// Panics if the run does not complete within the spec's time limit —
-/// that always indicates a protocol deadlock, which is a bug.
+/// that always indicates a protocol deadlock, which is a bug — or if
+/// its throughput exceeds the link (offered load above
+/// [`MAX_OFFERED_LOAD`]).
 pub fn run_blast(spec: &BlastSpec) -> BlastReport {
     let msgs = spec.sizes.sample_many(spec.seed, spec.messages);
     let total: u64 = msgs.iter().sum();
@@ -312,7 +319,7 @@ pub fn run_blast(spec: &BlastSpec) -> BlastReport {
     let max_msg = msgs.iter().copied().max().unwrap_or(1) as usize;
 
     let mut net = SimNet::new();
-    net.set_fabric(spec.fabric.clone());
+    net.set_fabric(FabricModel::FairShare(FairShareConfig::new(spec.seed)));
     net.set_host_seed(
         spec.seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -402,7 +409,7 @@ pub fn run_blast(spec: &BlastSpec) -> BlastReport {
             (busy.as_secs_f64() / elapsed.as_secs_f64()).min(1.0)
         }
     };
-    BlastReport {
+    let report = BlastReport {
         bytes: total,
         messages: client.msgs.len() as u64,
         start,
@@ -419,7 +426,14 @@ pub fn run_blast(spec: &BlastSpec) -> BlastReport {
         events: outcome.events,
         link_bandwidth_bps: spec.profile.link.bandwidth_bps,
         fabric: net.fabric_stats(),
-    }
+    };
+    // A single link's fabric flow never outruns the link.
+    assert!(
+        report.offered_load_ratio() <= MAX_OFFERED_LOAD,
+        "blast exceeded the link: offered load {:.4}",
+        report.offered_load_ratio()
+    );
+    report
 }
 
 /// Runs the same spec over several seeds (the paper averages 10 runs).

@@ -89,10 +89,10 @@ pub struct ConnStats {
     pub cq_max_batch: u64,
     /// Polls of this endpoint's CQs that returned at least one CQE.
     pub cq_nonempty_polls: u64,
-    /// Times this connection's fabric flow re-sped (fair-share model:
-    /// another flow on a shared link arrived or left mid-transfer).
-    /// Annotated post-run from the fabric's per-flow telemetry; 0 on
-    /// the FIFO model and on the thread backend. Merging sums — each
+    /// Times this connection's fabric flow re-sped (another flow on a
+    /// shared link arrived or left mid-transfer). Annotated post-run
+    /// from the simulator fabric's per-flow telemetry; 0 on the thread
+    /// backend. Merging sums — each
     /// connection is annotated from its own flow's telemetry, so the
     /// aggregate is the total re-speed count across flows. (Earlier
     /// versions max-merged and under-reported fan-in totals.)

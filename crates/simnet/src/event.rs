@@ -14,6 +14,7 @@
 //!    timers cheaply without rebuilding the heap.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashSet};
 
 use crate::time::SimTime;
@@ -159,16 +160,29 @@ impl<E> Scheduler<E> {
     /// Pops the next live event, advancing the clock to its timestamp.
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.id) {
+        self.pop_due(SimTime::MAX)
+    }
+
+    /// Pops the next live event if it is due at or before `limit`,
+    /// advancing the clock to its timestamp. An event past `limit` stays
+    /// queued, so a driver that stops at a time limit can resume later
+    /// without losing it. Returns `None` when no live event is due.
+    pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        loop {
+            let head = self.heap.peek_mut()?;
+            if self.cancelled.remove(&head.id) {
+                PeekMut::pop(head);
                 continue;
             }
+            if head.at > limit {
+                return None;
+            }
+            let entry = PeekMut::pop(head);
             debug_assert!(entry.at >= self.now, "event queue went backwards");
             self.now = entry.at;
             self.popped += 1;
             return Some((entry.at, entry.payload));
         }
-        None
     }
 
     /// The timestamp of the next live event without popping it.
@@ -272,6 +286,21 @@ mod tests {
         // is that a bogus id is rejected.
         assert!(!s.cancel(EventId(999)));
         let _ = a;
+    }
+
+    #[test]
+    fn pop_due_leaves_later_events_queued() {
+        let mut s = Scheduler::new();
+        let dead = s.schedule_at(SimTime::from_nanos(1), "dead");
+        s.schedule_at(SimTime::from_nanos(5), "due");
+        s.schedule_at(SimTime::from_nanos(9), "late");
+        s.cancel(dead);
+        let limit = SimTime::from_nanos(5);
+        assert_eq!(s.pop_due(limit), Some((limit, "due")));
+        assert_eq!(s.pop_due(limit), None);
+        assert_eq!(s.now(), limit, "a refused pop leaves the clock alone");
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.pop(), Some((SimTime::from_nanos(9), "late")));
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Flow-level fair-sharing bandwidth model.
+//! Flow-level fair-sharing bandwidth model: the only way a simulated
+//! message crosses the wire.
 //!
-//! The point-to-point [`crate::link::Link`] serializes messages on each
-//! directed pair independently: 512 senders blasting one receiver each
-//! see a private, uncontended pipe, and the receiver's reported ingress
-//! can exceed its NIC's line rate — physically dishonest at exactly the
-//! connection counts where scalability claims live. This module replaces
-//! the per-message link charge with a **flow-level max-min fair-share
-//! model**: concurrent transfers split capacity, and every active flow
-//! re-speeds when a flow arrives or completes (event-driven, no
-//! per-byte ticks).
+//! Concurrent transfers split capacity **max-min fairly**, and every
+//! active flow re-speeds when a flow arrives or completes (event-driven,
+//! no per-byte ticks). 512 senders blasting one receiver therefore share
+//! its NIC, and the receiver's ingress never exceeds its line rate. A
+//! single flow gets the whole link, so it reduces to plain
+//! serialization.
 //!
 //! Topology: two hops. Each node owns one NIC **uplink** (egress) and
 //! one **downlink** (ingress) whose capacities come from the registered
@@ -20,44 +18,27 @@
 //! collapse become expressible.
 //!
 //! A *flow* is a directed `(src, dst)` node pair. Transfers within a
-//! flow stay strictly FIFO (an RC channel never reorders), so layering
-//! this model under a byte-stream protocol changes **timing only** —
-//! delivered bytes and their order are identical to the FIFO link model.
+//! flow stay strictly FIFO (an RC channel never reorders), so the model
+//! changes **timing only**: delivered bytes and their order depend on
+//! the protocol, never on how the bandwidth was shared.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::rng::Xoshiro256;
 use crate::time::{SimDuration, SimTime};
 
-/// Which bandwidth model a fabric runs.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// The fabric a simulator runs. Fair sharing is the only model; this
+/// one-variant wrapper exists only so the benchmark in `perfbench/`
+/// (which `SimNet::set_fabric` serves) keeps compiling, and is due to
+/// collapse into [`FairShareConfig`] at its next change.
+#[derive(Clone, Debug, PartialEq)]
 pub enum FabricModel {
-    /// Legacy per-pair FIFO links: every directed node pair owns a
-    /// private serializing transmitter ([`crate::link::Link::transit`]).
-    /// Concurrent senders do not contend.
-    #[default]
-    Fifo,
     /// Flow-level max-min fair sharing over a two-hop topology
     /// (host NIC links into an oversubscribed core).
     FairShare(FairShareConfig),
 }
 
-impl FabricModel {
-    /// True when this model runs the fair-share allocator.
-    pub fn is_fair_share(&self) -> bool {
-        matches!(self, FabricModel::FairShare(_))
-    }
-
-    /// Short stable name for reports (`"fifo"` / `"fair_share"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FabricModel::Fifo => "fifo",
-            FabricModel::FairShare(_) => "fair_share",
-        }
-    }
-}
-
-/// Configuration for [`FabricModel::FairShare`].
+/// Configuration for the fair-share fabric.
 ///
 /// The RNG seed is **explicit** here (rather than implied by link
 /// seeds): contention runs must be reproducible across backends from

@@ -6,14 +6,14 @@
 //! * a virtual nanosecond clock ([`SimTime`], [`SimDuration`]),
 //! * a deterministic event scheduler ([`event::Scheduler`]) with stable
 //!   FIFO ordering for simultaneous events and cancellable timers,
-//! * a point-to-point link model ([`link::Link`]) with configurable
-//!   bandwidth, propagation delay and jitter, preserving strict FIFO
-//!   delivery (the ordering guarantee of an RDMA reliable-connected
+//! * link parameters ([`link::LinkConfig`]): bandwidth, per-packet
+//!   framing, propagation delay and jitter,
+//! * the fabric ([`fabric`]): every transfer crosses a flow-level
+//!   max-min fair-share allocator over a two-hop (NIC + oversubscribed
+//!   core) topology. Concurrent flows split capacity, a lone flow is
+//!   plain serialization, and each directed node pair stays strictly
+//!   FIFO (the ordering guarantee of an RDMA reliable-connected
 //!   channel),
-//! * a flow-level fair-sharing bandwidth model ([`fabric`]) where
-//!   concurrent transfers split link capacity max-min fairly across a
-//!   two-hop (NIC + oversubscribed core) topology, selected per fabric
-//!   via [`fabric::FabricModel`],
 //! * a small, fast, seedable RNG ([`rng::SplitMix64`] and
 //!   [`rng::Xoshiro256`]) so that every simulation run is reproducible
 //!   from a single `u64` seed,
@@ -37,6 +37,6 @@ pub mod trace;
 
 pub use event::{EventId, Scheduler};
 pub use fabric::{FabricModel, FabricStats, FairShareConfig, FairShareFabric, FlowStats, Transfer};
-pub use link::{Link, LinkConfig};
+pub use link::LinkConfig;
 pub use rng::{SplitMix64, Xoshiro256};
 pub use time::{SimDuration, SimTime};

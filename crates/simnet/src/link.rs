@@ -1,19 +1,20 @@
-//! Point-to-point link model.
+//! Link parameters.
 //!
-//! One [`Link`] models a single direction of a cabled connection between
-//! two adapters: a serializing transmitter (only one frame on the wire at
-//! a time), per-packet framing overhead, fixed propagation delay, optional
-//! random jitter, and strict FIFO delivery. FIFO matters: RDMA reliable
-//! connected channels never reorder, and the stream protocol's correctness
-//! argument (paper §IV-A) assumes ordered delivery of ADVERTs, ACKs and
-//! data relative to each other on each direction.
+//! A [`LinkConfig`] describes one direction of a cabled connection
+//! between two adapters: its data rate, per-packet framing overhead,
+//! fixed propagation delay and an optional random jitter bound. Timing
+//! itself belongs to the fair-share fabric ([`crate::fabric`]): the
+//! link's rate sizes the sending NIC's uplink and the receiving NIC's
+//! downlink, [`LinkConfig::wire_bytes`] is what a message occupies on
+//! them, and propagation plus jitter are added when its last bit
+//! leaves. A lone flow gets the whole rate, so one link with one
+//! sender is plain serialization.
 //!
 //! The emulated-WAN experiments (paper §IV-B2) are modelled by setting a
 //! large `propagation` (24 ms each way for the 48 ms Anue RTT); the
 //! future-work jitter study adds a `jitter` bound on top.
 
-use crate::rng::Xoshiro256;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Static description of one link direction.
 #[derive(Clone, Debug)]
@@ -74,89 +75,6 @@ impl LinkConfig {
     }
 }
 
-/// One direction of a link, with transmitter-busy and FIFO state.
-pub struct Link {
-    config: LinkConfig,
-    /// The earliest time the transmitter is free to start a new frame.
-    tx_free_at: SimTime,
-    /// The arrival time of the most recently delivered message; later
-    /// messages never arrive before this (FIFO clamp under jitter).
-    last_arrival: SimTime,
-    /// Jitter RNG; deterministic per link.
-    rng: Xoshiro256,
-    /// Total payload bytes accepted (for utilisation reporting).
-    bytes_sent: u64,
-    /// Total messages accepted.
-    messages_sent: u64,
-}
-
-impl Link {
-    /// Creates a link from a config and an RNG seed (only used if jitter
-    /// is enabled).
-    pub fn new(config: LinkConfig, seed: u64) -> Self {
-        Link {
-            config,
-            tx_free_at: SimTime::ZERO,
-            last_arrival: SimTime::ZERO,
-            rng: Xoshiro256::new(seed),
-            bytes_sent: 0,
-            messages_sent: 0,
-        }
-    }
-
-    /// The link's static configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
-    }
-
-    /// Accepts a message of `payload` bytes handed to the transmitter at
-    /// `now` and returns the simulated time at which its last byte is
-    /// available at the receiver.
-    ///
-    /// Successive calls must use non-decreasing `now` values (the DES
-    /// driver guarantees this); results are strictly FIFO.
-    pub fn transit(&mut self, now: SimTime, payload: u64) -> SimTime {
-        let start = now.max(self.tx_free_at);
-        let departed = start + self.config.tx_time(payload);
-        self.tx_free_at = departed;
-        let mut arrival = departed + self.config.propagation;
-        if !self.config.jitter.is_zero() {
-            let extra = self.rng.next_below(self.config.jitter.as_nanos() + 1);
-            arrival += SimDuration::from_nanos(extra);
-        }
-        // FIFO clamp: reliable connected transport never reorders.
-        arrival = arrival.max(self.last_arrival);
-        self.last_arrival = arrival;
-        self.bytes_sent += payload;
-        self.messages_sent += 1;
-        arrival
-    }
-
-    /// Earliest time the transmitter can begin a new frame.
-    pub fn tx_free_at(&self) -> SimTime {
-        self.tx_free_at
-    }
-
-    /// Bumps the utilisation counters without serializing on the
-    /// transmitter. The fair-share fabric model owns timing for its
-    /// transfers but still reports per-pair byte counts through the
-    /// link's gauges.
-    pub fn account(&mut self, payload: u64) {
-        self.bytes_sent += payload;
-        self.messages_sent += 1;
-    }
-
-    /// Total payload bytes accepted so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Total messages accepted so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,74 +99,6 @@ mod tests {
         c.per_packet_overhead = 0;
         // 125 bytes at 1 Gbit/s = 1000 ns.
         assert_eq!(c.tx_time(125).as_nanos(), 1_000);
-    }
-
-    #[test]
-    fn transit_serializes_back_to_back() {
-        let mut c = LinkConfig::simple(gbit(1), SimDuration::from_micros(1));
-        c.per_packet_overhead = 0;
-        let mut l = Link::new(c, 0);
-        // Two 125-byte messages (1000 ns each) handed over at t=0.
-        let a = l.transit(SimTime::ZERO, 125);
-        let b = l.transit(SimTime::ZERO, 125);
-        assert_eq!(a.as_nanos(), 1_000 + 1_000);
-        assert_eq!(b.as_nanos(), 2_000 + 1_000);
-    }
-
-    #[test]
-    fn idle_transmitter_starts_immediately() {
-        let mut c = LinkConfig::simple(gbit(1), SimDuration::from_nanos(500));
-        c.per_packet_overhead = 0;
-        let mut l = Link::new(c, 0);
-        let a = l.transit(SimTime::from_nanos(10_000), 125);
-        assert_eq!(a.as_nanos(), 10_000 + 1_000 + 500);
-    }
-
-    #[test]
-    fn propagation_dominates_for_wan() {
-        let c = LinkConfig::simple(gbit(10), SimDuration::from_millis(24));
-        let mut l = Link::new(c, 0);
-        let a = l.transit(SimTime::ZERO, 64);
-        assert!(a.as_nanos() >= 24_000_000);
-        assert!(a.as_nanos() < 24_100_000);
-    }
-
-    #[test]
-    fn fifo_holds_under_jitter() {
-        let mut c = LinkConfig::simple(gbit(10), SimDuration::from_micros(10));
-        c.jitter = SimDuration::from_micros(50);
-        let mut l = Link::new(c, 12345);
-        let mut prev = SimTime::ZERO;
-        for i in 0..1_000 {
-            let t = l.transit(SimTime::from_nanos(i * 10), 64);
-            assert!(t >= prev, "FIFO violated at message {i}");
-            prev = t;
-        }
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed() {
-        let mk = || {
-            let mut c = LinkConfig::simple(gbit(10), SimDuration::from_micros(10));
-            c.jitter = SimDuration::from_micros(5);
-            Link::new(c, 99)
-        };
-        let mut l1 = mk();
-        let mut l2 = mk();
-        for i in 0..100 {
-            let now = SimTime::from_nanos(i * 1_000);
-            assert_eq!(l1.transit(now, 256), l2.transit(now, 256));
-        }
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let c = LinkConfig::simple(gbit(10), SimDuration::ZERO);
-        let mut l = Link::new(c, 0);
-        l.transit(SimTime::ZERO, 100);
-        l.transit(SimTime::ZERO, 200);
-        assert_eq!(l.bytes_sent(), 300);
-        assert_eq!(l.messages_sent(), 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the fair-share fabric allocator: whatever the
 //! submission schedule, re-speeding changes *when* transfers finish,
-//! never *what* arrives or in which order.
+//! never *what* arrives or in which order, and nothing arrives sooner
+//! than the link could carry it.
 
 use std::collections::BTreeMap;
 
@@ -51,8 +52,10 @@ proptest! {
     /// For any interleaving of submissions across contending flows, and
     /// any jitter bound, every transfer completes exactly once, per-flow
     /// completion order equals submission order, per-flow arrival times
-    /// are monotone (no reordering on the wire), and the allocator's
-    /// byte accounting matches what was offered.
+    /// are monotone (no reordering on the wire), no transfer arrives
+    /// before its submission plus its wire time at the full link rate
+    /// plus propagation, and the allocator's byte accounting matches
+    /// what was offered.
     #[test]
     fn respeeding_never_reorders_or_drops(
         ops in proptest::collection::vec((0usize..4, 0u64..40_000, 1u64..64), 1..120),
@@ -71,6 +74,7 @@ proptest! {
 
         let mut heads: BTreeMap<(u32, u32), SimTime> = BTreeMap::new();
         let mut submitted: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
+        let mut earliest: BTreeMap<u64, SimTime> = BTreeMap::new();
         let mut offered: BTreeMap<(u32, u32), u64> = BTreeMap::new();
         let mut completed: BTreeMap<(u32, u32), Vec<(u64, SimTime)>> = BTreeMap::new();
 
@@ -88,6 +92,10 @@ proptest! {
                 Transfer { token: token as u64, wire_bytes: bytes, payload_bytes: bytes },
             );
             submitted.entry((src, dst)).or_default().push(token as u64);
+            earliest.insert(
+                token as u64,
+                now + SimDuration::transmission(bytes, LINK_BPS) + PROP,
+            );
             *offered.entry((src, dst)).or_default() += bytes;
             for (k, t) in changes {
                 heads.insert(k, t);
@@ -102,6 +110,13 @@ proptest! {
             let done = completed.get(key).expect("flow never completed");
             let done_tokens: Vec<u64> = done.iter().map(|&(t, _)| t).collect();
             prop_assert_eq!(&done_tokens, tokens, "flow {:?} completion order", key);
+            for &(token, arrival) in done {
+                prop_assert!(
+                    arrival >= earliest[&token],
+                    "transfer {} arrived at {:?}, before the physical bound {:?}",
+                    token, arrival, earliest[&token]
+                );
+            }
             for pair in done.windows(2) {
                 prop_assert!(
                     pair[1].1 >= pair[0].1,

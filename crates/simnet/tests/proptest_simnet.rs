@@ -2,7 +2,7 @@
 //! ordering guarantees every higher layer depends on.
 
 use proptest::prelude::*;
-use simnet::{Link, LinkConfig, Scheduler, SimDuration, SimTime, Xoshiro256};
+use simnet::{Scheduler, SimDuration, SimTime, Xoshiro256};
 
 proptest! {
     /// Events pop in time order, and events with equal timestamps pop in
@@ -51,31 +51,6 @@ proptest! {
         popped.sort_unstable();
         kept.sort_unstable();
         prop_assert_eq!(popped, kept);
-    }
-
-    /// Link delivery is FIFO for any jitter bound and submission pattern,
-    /// and never earlier than physically possible.
-    #[test]
-    fn link_fifo_under_jitter(
-        sizes in proptest::collection::vec(1u64..100_000, 1..100),
-        gaps in proptest::collection::vec(0u64..10_000, 1..100),
-        jitter_us in 0u64..100,
-        seed in any::<u64>(),
-    ) {
-        let mut cfg = LinkConfig::simple(10_000_000_000, SimDuration::from_micros(5));
-        cfg.jitter = SimDuration::from_micros(jitter_us);
-        let mut link = Link::new(cfg.clone(), seed);
-        let mut now = SimTime::ZERO;
-        let mut prev_arrival = SimTime::ZERO;
-        for (i, &size) in sizes.iter().enumerate() {
-            now += SimDuration::from_nanos(*gaps.get(i).unwrap_or(&0));
-            let arrival = link.transit(now, size);
-            prop_assert!(arrival >= prev_arrival, "FIFO violated");
-            // Physical lower bound: serialization + propagation.
-            let min = now + cfg.tx_time(size) + cfg.propagation;
-            prop_assert!(arrival >= min, "arrived before physically possible");
-            prev_arrival = arrival;
-        }
     }
 
     /// The transmission-time helper is monotone in payload size and
